@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .attribute_model import read_similarity_dump, write_similarity_dump, SimilarityMatrix
-from .kg import build_initial_seeds, load_graph
+from .kg import ParseError, build_initial_seeds, load_graph
 from .metrics import evaluate, split_ills
 from .pipeline import (
     MERGE_MODES,
@@ -189,16 +189,21 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _read_pairs(path) -> list[tuple[str, str]]:
-    pairs = []
+def _pair_lines(path):
+    """``(lineno, left, right)`` for each nonblank line of a two-column file."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n").rstrip("\r")
-            if not line:
+            if not line.strip():
                 continue
-            left, right = line.split("\t")
-            pairs.append((left, right))
-    return pairs
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ParseError(path, lineno, f"expected 2 tab-separated fields, got {len(parts)}")
+            yield lineno, parts[0], parts[1]
+
+
+def _read_pairs(path) -> list[tuple[str, str]]:
+    return [(left, right) for _, left, right in _pair_lines(path)]
 
 
 def _resolve_pairs(g, g2, label_pairs):
@@ -297,13 +302,12 @@ def cmd_gen(args) -> int:
 def cmd_eval(args) -> int:
     scores = read_similarity_dump(args.matrix)
     pairs = []
-    with open(args.test, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            left, right = line.split("\t")
+    for lineno, left, right in _pair_lines(args.test):
+        try:
             pairs.append((int(left), int(right)))
+        except ValueError:
+            raise ParseError(args.test, lineno,
+                             f"expected integer ids, got {left!r}, {right!r}") from None
     ks = tuple(int(x) for x in args.ks.split(",") if x.strip())
     report = evaluate(scores, pairs, ks, source=args.source)
     print(report.to_json())

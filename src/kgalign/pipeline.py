@@ -109,6 +109,7 @@ class IterationRecord:
     timings: dict[str, float]
     store_size: int
     candidate_overlap: int  # aligned entities still in the candidate pool; must be 0
+    transe: dict = field(default_factory=dict)  # TransE summary; empty without that view
 
     def to_json_line(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
@@ -300,6 +301,7 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
         attr_inf = _empty_attr_inference()
         rel_list = RankedAlignmentList([])
         new_rel_pairs: list = []
+        transe_summary: dict = {}
 
         if use_attr:
             tick = time.perf_counter()
@@ -337,6 +339,7 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
             transe_cfg = dataclasses.replace(settings.transe,
                                              rng_seed=settings.transe.rng_seed + iteration)
             embeddings = train_transe(swapped, transe_cfg)
+            transe_summary = embeddings.training_summary()
             s_rel = entity_similarity_rel(embeddings, g, g2)
             rel_scores = relation_similarity(embeddings)
             timings["relationship_training"] = time.perf_counter() - tick
@@ -389,7 +392,8 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
             "new_rel": int(new_rel),
             "new_val": int(new_val),
         }
-        records.append(IterationRecord(iteration, counts, used, timings, store.size(), overlap))
+        records.append(IterationRecord(iteration, counts, used, timings, store.size(), overlap,
+                                       transe_summary))
         LOG.info("iteration %d: %s", iteration, counts)
 
         if new_ent + new_attr + new_rel + new_val == 0:

@@ -10,6 +10,7 @@ graph.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,10 @@ import numpy as np
 from .kg import AlignmentStore, CandidateSet, KnowledgeGraph, \
     greedy_one_to_one, infer_entity_pairs
 from .attribute_model import SimilarityMatrix
+
+LOG = logging.getLogger(__name__)
+
+_RESAMPLE_ROUNDS = 50
 
 
 @dataclass
@@ -97,6 +102,7 @@ class EmbeddingTable:
     ent_split: int
     rel_split: int
     epoch_losses: list[float] = field(default_factory=list)
+    capped_negatives: int = 0  # negatives left equal to a known positive
 
     def entity_vector(self, entity: int) -> np.ndarray:
         if not 0 <= entity < self.ent.shape[0]:
@@ -107,6 +113,15 @@ class EmbeddingTable:
         if not 0 <= relation < self.rel.shape[0]:
             raise LookupError(f"unknown relation id {relation}")
         return self.rel[relation]
+
+    def training_summary(self) -> dict:
+        """Loss-curve endpoints and resampling health of the training run."""
+        losses = self.epoch_losses
+        return {"epochs": len(losses),
+                "loss_first": losses[0] if losses else None,
+                "loss_last": losses[-1] if losses else None,
+                "loss_min": min(losses) if losses else None,
+                "capped_negatives": self.capped_negatives}
 
 
 def transe_energy(table: EmbeddingTable, head: int, relation: int, tail: int) -> float:
@@ -122,35 +137,51 @@ def _deltas(ent, rel, triples):
     return d, np.linalg.norm(d, axis=1)
 
 
-def minibatch_loss(ent: np.ndarray, rel: np.ndarray, pos: np.ndarray, neg: np.ndarray,
-                   margin: float) -> float:
-    """Sum of margin violations over aligned (positive, negative) rows."""
-    _, pos_norm = _deltas(ent, rel, pos)
-    _, neg_norm = _deltas(ent, rel, neg)
-    return float(np.maximum(0.0, margin + pos_norm - neg_norm).sum())
+def _scatter_rows(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """Sum ``values[i]`` into row ``rows[i]`` of an ``(n_rows, dim)`` zero table.
+
+    One ``np.bincount`` per column: each cell adds its contributions to 0.0
+    in input order, which keeps the sums bitwise-equal to the unbuffered
+    scatter the tests use as their oracle.
+    """
+    out = np.empty((n_rows, values.shape[1]))
+    for column in range(values.shape[1]):
+        out[:, column] = np.bincount(rows, weights=values[:, column], minlength=n_rows)
+    return out
 
 
-def minibatch_grad(ent: np.ndarray, rel: np.ndarray, pos: np.ndarray, neg: np.ndarray,
-                   margin: float):
-    """Analytic gradient of :func:`minibatch_loss` w.r.t. both tables."""
+def minibatch_loss_and_grad(ent: np.ndarray, rel: np.ndarray, pos: np.ndarray,
+                            neg: np.ndarray, margin: float):
+    """Sum of margin violations over aligned (positive, negative) rows, and
+    its analytic gradient w.r.t. both tables: ``(loss, grad_ent, grad_rel)``.
+
+    Each gradient cell accumulates in a fixed order: positive heads,
+    positive tails, negative heads, then negative tails for entities, and
+    positive then negative relations.
+    """
     pos_d, pos_norm = _deltas(ent, rel, pos)
     neg_d, neg_norm = _deltas(ent, rel, neg)
-    violating = margin + pos_norm - neg_norm > 0.0
-    grad_ent = np.zeros_like(ent)
-    grad_rel = np.zeros_like(rel)
-    if not violating.any():
-        return grad_ent, grad_rel
+    hinge = margin + pos_norm - neg_norm
+    loss = float(np.maximum(0.0, hinge).sum())
+    violating = hinge > 0.0
+    n_violating = int(np.count_nonzero(violating))
+    if n_violating == 0:
+        return loss, np.zeros_like(ent), np.zeros_like(rel)
     pos_v = pos[violating]
     neg_v = neg[violating]
-    unit_pos = pos_d[violating] / np.maximum(pos_norm[violating], 1e-12)[:, None]
-    unit_neg = neg_d[violating] / np.maximum(neg_norm[violating], 1e-12)[:, None]
-    np.add.at(grad_ent, pos_v[:, 0], unit_pos)
-    np.add.at(grad_ent, pos_v[:, 2], -unit_pos)
-    np.add.at(grad_rel, pos_v[:, 1], unit_pos)
-    np.add.at(grad_ent, neg_v[:, 0], -unit_neg)
-    np.add.at(grad_ent, neg_v[:, 2], unit_neg)
-    np.add.at(grad_rel, neg_v[:, 1], -unit_neg)
-    return grad_ent, grad_rel
+    # one block per entity role, in ent_rows order: +unit_pos (positive heads),
+    # -unit_pos (positive tails), -unit_neg (negative heads), +unit_neg
+    # (negative tails); blocks 0 and 2 are the relation contributions
+    units = np.empty((4, n_violating, ent.shape[1]))
+    np.divide(pos_d[violating], np.maximum(pos_norm[violating], 1e-12)[:, None], out=units[0])
+    np.negative(units[0], out=units[1])
+    np.divide(neg_d[violating], np.maximum(neg_norm[violating], 1e-12)[:, None], out=units[3])
+    np.negative(units[3], out=units[2])
+    ent_rows = np.concatenate([pos_v[:, 0], pos_v[:, 2], neg_v[:, 0], neg_v[:, 2]])
+    rel_rows = np.concatenate([pos_v[:, 1], neg_v[:, 1]])
+    grad_ent = _scatter_rows(ent_rows, units.reshape(-1, ent.shape[1]), ent.shape[0])
+    grad_rel = _scatter_rows(rel_rows, units[0::2].reshape(-1, ent.shape[1]), rel.shape[0])
+    return loss, grad_ent, grad_rel
 
 
 def _normalize_rows(array: np.ndarray, rows=None) -> None:
@@ -166,15 +197,25 @@ def _triple_keys(triples: np.ndarray, n_entities: int, n_relations: int) -> np.n
     return (triples[:, 0] * n_relations + triples[:, 1]) * n_entities + triples[:, 2]
 
 
+def _is_positive(keys: np.ndarray, positive_keys: np.ndarray) -> np.ndarray:
+    """Membership of ``keys`` in the sorted, unique ``positive_keys``."""
+    at = np.minimum(np.searchsorted(positive_keys, keys), len(positive_keys) - 1)
+    return positive_keys[at] == keys
+
+
 def _sample_negatives(pos_rep: np.ndarray, swapped: SwappedTriples,
-                      positive_keys: np.ndarray, rng) -> np.ndarray:
+                      positive_keys: np.ndarray, rng) -> tuple[np.ndarray, int]:
     """Corrupt head or tail (equal odds) within the corrupted entity's graph,
-    resampling corruptions that reproduce known positives."""
+    resampling corruptions that reproduce known positives.
+
+    Returns the negatives and how many of them are still known positives
+    when the resampling cap runs out.
+    """
     total = len(pos_rep)
     column = np.where(rng.integers(0, 2, total) == 0, 0, 2)
     neg = pos_rep.copy()
     pending = np.arange(total)
-    for _ in range(50):
+    for _ in range(_RESAMPLE_ROUNDS):
         original = pos_rep[pending, column[pending]]
         is_left = original < swapped.ent_split
         draw = rng.random(len(pending))
@@ -186,11 +227,10 @@ def _sample_negatives(pos_rep: np.ndarray, swapped: SwappedTriples,
         )
         neg[pending, column[pending]] = candidate
         keys = _triple_keys(neg[pending], swapped.n_entities, swapped.n_relations)
-        bad = np.isin(keys, positive_keys)
-        pending = pending[bad]
+        pending = pending[_is_positive(keys, positive_keys)]
         if pending.size == 0:
             break
-    return neg
+    return neg, int(pending.size)
 
 
 def train_transe(swapped: SwappedTriples, cfg: TrainConfig) -> EmbeddingTable:
@@ -219,15 +259,19 @@ def train_transe(swapped: SwappedTriples, cfg: TrainConfig) -> EmbeddingTable:
         for start in range(0, len(order), cfg.batch_size):
             pos = triples[order[start:start + cfg.batch_size]]
             pos_rep = np.repeat(pos, k, axis=0)
-            neg = _sample_negatives(pos_rep, swapped, positive_keys, rng)
-            epoch_loss += minibatch_loss(ent, rel, pos_rep, neg, cfg.margin)
-            grad_ent, grad_rel = minibatch_grad(ent, rel, pos_rep, neg, cfg.margin)
+            neg, capped = _sample_negatives(pos_rep, swapped, positive_keys, rng)
+            table.capped_negatives += capped
+            loss, grad_ent, grad_rel = minibatch_loss_and_grad(ent, rel, pos_rep, neg, cfg.margin)
+            epoch_loss += loss
             ent -= cfg.learning_rate * grad_ent
             rel -= cfg.learning_rate * grad_rel
             touched = np.unique(np.concatenate([pos_rep[:, 0], pos_rep[:, 2],
                                                 neg[:, 0], neg[:, 2]]))
             _normalize_rows(ent, touched)
         table.epoch_losses.append(epoch_loss / (len(triples) * k))
+    if table.capped_negatives:
+        LOG.warning("%d negative(s) were still known positives after %d resampling rounds",
+                    table.capped_negatives, _RESAMPLE_ROUNDS)
     return table
 
 

@@ -26,7 +26,7 @@ from kgalign.pipeline import (
     merge_standard,
     run_pipeline,
 )
-from kgalign.relationship_model import TrainConfig, minibatch_grad, minibatch_loss
+from kgalign.relationship_model import TrainConfig, minibatch_loss_and_grad
 from kgalign.synth import SynthSpec, generate_synth
 from kgalign.translator import train_translation
 
@@ -113,9 +113,9 @@ def finite_difference(ent, rel, pos, neg, margin, h=1e-5):
             idx = it.multi_index
             original = array[idx]
             array[idx] = original + h
-            up = minibatch_loss(ent, rel, pos, neg, margin)
+            up = minibatch_loss_and_grad(ent, rel, pos, neg, margin)[0]
             array[idx] = original - h
-            down = minibatch_loss(ent, rel, pos, neg, margin)
+            down = minibatch_loss_and_grad(ent, rel, pos, neg, margin)[0]
             array[idx] = original
             grad[idx] = (up - down) / (2 * h)
             it.iternext()
@@ -142,7 +142,7 @@ def test_transe_gradient_check():
         if np.abs(hinge).min() < 1e-3:  # avoid the hinge kink
             continue
         batches += 1
-        grad_ent, grad_rel = minibatch_grad(ent, rel, pos, neg, 1.0)
+        _, grad_ent, grad_rel = minibatch_loss_and_grad(ent, rel, pos, neg, 1.0)
         fd_ent, fd_rel = finite_difference(ent, rel, pos, neg, 1.0)
         for analytic, numeric in ((grad_ent, fd_ent), (grad_rel, fd_rel)):
             # 1e-4 relative with an absolute floor at the central-difference

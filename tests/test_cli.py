@@ -98,6 +98,15 @@ class TestAlign:
         assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
         assert "nowhere.tsv" in caplog.text
 
+    def test_malformed_ill_line_exit_two_with_location(self, dataset, tmp_path, caplog):
+        bad = tmp_path / "ill_valid"
+        lines = (dataset / "ill_valid").read_text(encoding="utf-8").splitlines()
+        bad.write_text(lines[0] + "\n" + lines[1].replace("\t", " ") + "\n", encoding="utf-8")
+        cfg = config_for(dataset, tmp_path / "out", ill_valid=str(bad))
+        cfg.to_file(tmp_path / "c.ini")
+        assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
+        assert f"{bad}:2: expected 2 tab-separated fields, got 1" in caplog.text
+
     def test_identical_runs_identical_dumps(self, dataset, tmp_path, capsys):
         for name in ("a", "b"):
             cfg = config_for(dataset, tmp_path / name)
@@ -174,6 +183,16 @@ class TestEval:
         expected = evaluate(scores, pairs, ks=(1, 10))
         assert payload["hr"]["1"] == pytest.approx(expected.hr[1])
         assert payload["mrr"] == pytest.approx(expected.mrr)
+
+    @pytest.mark.parametrize("content, lineno", [("0\t0\n\n1\t1\t1\n", 3),
+                                                  ("0\t0\nx\t1\n", 2)])
+    def test_malformed_index_line_exit_two_with_location(self, tmp_path, caplog,
+                                                         content, lineno):
+        write_similarity_dump(SimilarityMatrix(np.eye(2), "merged"), tmp_path / "s.bin")
+        (tmp_path / "t.tsv").write_text(content)
+        assert cli.main(["eval", "--matrix", str(tmp_path / "s.bin"),
+                         "--test", str(tmp_path / "t.tsv")]) == 2
+        assert f"{tmp_path / 't.tsv'}:{lineno}:" in caplog.text
 
     def test_bad_dump_exit_two(self, tmp_path):
         (tmp_path / "s.bin").write_bytes(b"\x00\x01")

@@ -305,6 +305,23 @@ class TestRunPipeline:
                                               "new_attr", "new_rel", "new_val"}
             assert "timings" in payload
 
+    def test_iteration_records_carry_transe_summary(self):
+        g, g2 = identical_graphs()
+        seeds = build_initial_seeds(g, g2, [("e0", "f0")])
+        import json
+        both = run_pipeline(g, g2, seeds, settings_for_tests(views="both"), max_iterations=2)
+        for record in both.records:
+            transe = json.loads(record.to_json_line())["transe"]
+            assert set(transe) == {"epochs", "loss_first", "loss_last", "loss_min",
+                                   "capped_negatives"}
+            assert transe["epochs"] == 15
+            assert transe["loss_min"] <= min(transe["loss_first"], transe["loss_last"])
+            assert transe["capped_negatives"] == 0
+        assert both.records[-1].transe == both.embeddings.training_summary()
+        attr_only = run_pipeline(g, g2, seeds, settings_for_tests(views="attr"),
+                                 max_iterations=1)
+        assert attr_only.records[0].transe == {}
+
     def test_fixed_tuning_requires_values(self):
         g, g2 = identical_graphs()
         seeds = build_initial_seeds(g, g2, [("e0", "f0")])

@@ -1,5 +1,6 @@
 """Structure embeddings: swapping, energy, training, and inference."""
 
+import logging
 import math
 
 import numpy as np
@@ -9,11 +10,11 @@ from kgalign.kg import AlignmentStore, CandidateSet, KnowledgeGraph
 from kgalign.relationship_model import (
     EmbeddingTable,
     TrainConfig,
+    _is_positive,
     entity_similarity_rel,
     infer_from_relationship_view,
     infer_relation_pairs,
-    minibatch_grad,
-    minibatch_loss,
+    minibatch_loss_and_grad,
     swap_triplets,
     train_transe,
     transe_energy,
@@ -88,6 +89,37 @@ class TestEnergy:
             transe_energy(t, 5, 0, 0)
 
 
+def oracle_loss(ent, rel, pos, neg, margin):
+    """Margin loss with each batch's deltas computed on their own."""
+    pos_norm = np.linalg.norm(ent[pos[:, 0]] + rel[pos[:, 1]] - ent[pos[:, 2]], axis=1)
+    neg_norm = np.linalg.norm(ent[neg[:, 0]] + rel[neg[:, 1]] - ent[neg[:, 2]], axis=1)
+    return float(np.maximum(0.0, margin + pos_norm - neg_norm).sum())
+
+
+def oracle_grad(ent, rel, pos, neg, margin):
+    """Gradient scattered with six ``np.add.at`` calls, one per role."""
+    pos_d = ent[pos[:, 0]] + rel[pos[:, 1]] - ent[pos[:, 2]]
+    neg_d = ent[neg[:, 0]] + rel[neg[:, 1]] - ent[neg[:, 2]]
+    pos_norm = np.linalg.norm(pos_d, axis=1)
+    neg_norm = np.linalg.norm(neg_d, axis=1)
+    violating = margin + pos_norm - neg_norm > 0.0
+    grad_ent = np.zeros_like(ent)
+    grad_rel = np.zeros_like(rel)
+    if not violating.any():
+        return grad_ent, grad_rel
+    pos_v = pos[violating]
+    neg_v = neg[violating]
+    unit_pos = pos_d[violating] / np.maximum(pos_norm[violating], 1e-12)[:, None]
+    unit_neg = neg_d[violating] / np.maximum(neg_norm[violating], 1e-12)[:, None]
+    np.add.at(grad_ent, pos_v[:, 0], unit_pos)
+    np.add.at(grad_ent, pos_v[:, 2], -unit_pos)
+    np.add.at(grad_rel, pos_v[:, 1], unit_pos)
+    np.add.at(grad_ent, neg_v[:, 0], -unit_neg)
+    np.add.at(grad_ent, neg_v[:, 2], unit_neg)
+    np.add.at(grad_rel, neg_v[:, 1], -unit_neg)
+    return grad_ent, grad_rel
+
+
 def finite_difference(ent, rel, pos, neg, margin, h=1e-5):
     grads = []
     for array in (ent, rel):
@@ -97,9 +129,9 @@ def finite_difference(ent, rel, pos, neg, margin, h=1e-5):
             idx = it.multi_index
             original = array[idx]
             array[idx] = original + h
-            up = minibatch_loss(ent, rel, pos, neg, margin)
+            up = minibatch_loss_and_grad(ent, rel, pos, neg, margin)[0]
             array[idx] = original - h
-            down = minibatch_loss(ent, rel, pos, neg, margin)
+            down = minibatch_loss_and_grad(ent, rel, pos, neg, margin)[0]
             array[idx] = original
             grad[idx] = (up - down) / (2 * h)
             it.iternext()
@@ -128,7 +160,7 @@ class TestGradient:
                        - np.linalg.norm(ent[neg[:, 0]] + rel[neg[:, 1]] - ent[neg[:, 2]], axis=1))
             if np.abs(margins).min() < 1e-3:
                 continue
-            grad_ent, grad_rel = minibatch_grad(ent, rel, pos, neg, 1.0)
+            _, grad_ent, grad_rel = minibatch_loss_and_grad(ent, rel, pos, neg, 1.0)
             fd_ent, fd_rel = finite_difference(ent, rel, pos, neg, 1.0)
             np.testing.assert_allclose(grad_ent, fd_ent, rtol=1e-4, atol=1e-8)
             np.testing.assert_allclose(grad_rel, fd_rel, rtol=1e-4, atol=1e-8)
@@ -138,9 +170,55 @@ class TestGradient:
         rel = np.zeros((1, 4))
         pos = np.array([[0, 0, 0]])   # energy 0
         neg = np.array([[0, 0, 1]])   # energy sqrt(2) > margin 1
-        grad_ent, grad_rel = minibatch_grad(ent, rel, pos, neg, 1.0)
+        loss, grad_ent, grad_rel = minibatch_loss_and_grad(ent, rel, pos, neg, 1.0)
+        assert loss == 0.0
         assert not grad_ent.any()
         assert not grad_rel.any()
+
+
+class TestOracleParity:
+    """The fused kernel must reproduce the ``np.add.at`` oracle bit for bit."""
+
+    def assert_matches_oracle(self, ent, rel, pos, neg, margin):
+        loss, grad_ent, grad_rel = minibatch_loss_and_grad(ent, rel, pos, neg, margin)
+        oracle_ent, oracle_rel = oracle_grad(ent, rel, pos, neg, margin)
+        assert loss == oracle_loss(ent, rel, pos, neg, margin)
+        np.testing.assert_array_equal(grad_ent, oracle_ent)
+        np.testing.assert_array_equal(grad_rel, oracle_rel)
+
+    def test_heavily_repeated_ids(self):
+        rng = np.random.default_rng(5)
+        for n_ent, n_rel, rows in ((3, 1, 400), (5, 2, 1280), (40, 3, 1280), (400, 16, 1280)):
+            ent, rel, pos, neg = random_batch(rng, n_ent=n_ent, n_rel=n_rel, dim=48, rows=rows)
+            neg[: rows // 2, 0] = rng.integers(0, n_ent, rows // 2)
+            for margin in (0.1, 1.0):
+                self.assert_matches_oracle(ent, rel, pos, neg, margin)
+
+    def test_partial_violations(self):
+        rng = np.random.default_rng(6)
+        ent, rel, pos, neg = random_batch(rng, n_ent=7, n_rel=2, dim=8, rows=300)
+        for margin in (0.05, 0.5, 2.0):
+            self.assert_matches_oracle(ent, rel, pos, neg, margin)
+
+    def test_no_violations(self):
+        ent = np.eye(4)
+        rel = np.zeros((2, 4))
+        pos = np.array([[0, 0, 0], [1, 1, 1], [0, 0, 0]])
+        neg = np.array([[0, 0, 1], [1, 1, 2], [3, 0, 0]])
+        self.assert_matches_oracle(ent, rel, pos, neg, 1.0)
+
+
+class TestPositiveMembership:
+    def test_matches_isin_oracle(self):
+        rng = np.random.default_rng(9)
+        for positive_keys in (np.unique(rng.integers(10, 1000, 200)), np.array([5])):
+            keys = np.concatenate([
+                rng.integers(0, 1100, 2000),
+                positive_keys,
+                [positive_keys[0] - 1, positive_keys[-1] + 1, 0, 10 ** 12],
+            ])
+            np.testing.assert_array_equal(_is_positive(keys, positive_keys),
+                                          np.isin(keys, positive_keys))
 
 
 def synthetic_swapped(n_entities=100, rng_seed=3):
@@ -208,6 +286,30 @@ class TestTraining:
         windows = half.reshape(5, -1).mean(axis=1)
         assert np.all(np.diff(windows) <= 2e-3)
         assert half.max() <= losses[len(losses) // 2 - 1] + 0.02
+
+    def test_saturated_graph_reports_capped_negatives(self, caplog):
+        # every in-graph corruption of a left triple is itself a positive,
+        # so each left row exhausts the resampling rounds
+        left = KnowledgeGraph([(h, "r", t) for h in "ab" for t in "ab"], [])
+        right = KnowledgeGraph([("x", "s", "y")], [])
+        swapped = swap_triplets(left, right, AlignmentStore())
+        cfg = TrainConfig(dim=8, epochs=20, rng_seed=0)
+        with caplog.at_level(logging.WARNING, logger="kgalign.relationship_model"):
+            table = train_transe(swapped, cfg)
+        assert table.capped_negatives == 4 * cfg.negatives_per_positive * cfg.epochs
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert str(table.capped_negatives) in warnings[0].getMessage()
+
+    def test_training_summary_without_capped_negatives(self, caplog):
+        swapped, _, _ = synthetic_swapped(30)
+        with caplog.at_level(logging.WARNING, logger="kgalign.relationship_model"):
+            table = train_transe(swapped, TrainConfig(dim=16, epochs=5, rng_seed=7))
+        assert not caplog.records
+        assert table.training_summary() == {
+            "epochs": 5, "loss_first": table.epoch_losses[0],
+            "loss_last": table.epoch_losses[-1], "loss_min": min(table.epoch_losses),
+            "capped_negatives": 0}
 
     def test_empty_triples_rejected(self):
         from kgalign.relationship_model import SwappedTriples
