@@ -25,24 +25,21 @@ from .translator import (
     embed_value,
     train_translation,
     translate_value,
-    update_translation,
 )
 from .attribute_model import (
     AttributeSlotMatrix,
     SimilarityMatrix,
-    SlotPairEvidence,
     ValueEmbeddingMatrix,
     build_attr_slot_matrix,
+    build_attribute_unification,
     build_value_matrix,
     entity_similarity_attr,
-    entity_similarity_attr_dense,
     infer_from_attribute_view,
 )
 from .relationship_model import (
     EmbeddingTable,
     TrainConfig,
     entity_similarity_rel,
-    infer_from_relationship_view,
     swap_triplets,
     train_transe,
     transe_energy,

@@ -68,7 +68,6 @@ class ValueEmbeddingMatrix:
 
     data: np.ndarray
     slot_count: np.ndarray
-    entity_ids: np.ndarray
     slots: list[list[tuple[int, ValueText]]]  # (attribute id, value) behind each slot
 
 
@@ -77,8 +76,6 @@ class AttributeSlotMatrix:
     """Unified attribute identification per slot, -1 for padding."""
 
     ids: np.ndarray
-    universe_size: int
-    united_count: int  # distinct identifications across both graphs
 
 
 @dataclass(frozen=True)
@@ -131,23 +128,24 @@ def build_value_matrix(g: KnowledgeGraph, table, provider: WordVectorProvider,
             if table is not None:
                 value = translate_value(table, value)
             data[entity, i] = embed_value(provider, value)
-    return ValueEmbeddingMatrix(data, slot_count, np.arange(n), slots)
+    return ValueEmbeddingMatrix(data, slot_count, slots)
 
 
-def build_attr_slot_matrix(g: KnowledgeGraph, m_slots: int, frequent: FrequentAttributes,
-                           attr_pairs, side: str) -> AttributeSlotMatrix:
-    """Unified identification per slot for one graph side ("left" or "right")."""
+def build_attr_slot_matrix(values: ValueEmbeddingMatrix, unification: AttributeUnification,
+                           side: str) -> AttributeSlotMatrix:
+    """Unified identification per slot of one graph side ("left" or "right").
+
+    The slots are the ones ``values`` was built from, so both matrices index
+    the same (entity, slot) cells.
+    """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    unification = build_attribute_unification(frequent, attr_pairs)
     mapping = unification.left_ids if side == "left" else unification.right_ids
-    own = frequent.left if side == "left" else frequent.right
-    n = g.num_entities
-    ids = np.full((n, m_slots), -1, dtype=np.int64)
-    for entity in range(n):
-        for i, (attr, _) in enumerate(top_m_attr_slots(g, entity, m_slots, own)):
+    ids = np.full(values.data.shape[:2], -1, dtype=np.int64)
+    for entity, chosen in enumerate(values.slots):
+        for i, (attr, _) in enumerate(chosen):
             ids[entity, i] = mapping[attr]
-    return AttributeSlotMatrix(ids, unification.universe_size, unification.united_count)
+    return AttributeSlotMatrix(ids)
 
 
 def _check_shapes(values_left, values_right, slots_left, slots_right):
@@ -207,45 +205,6 @@ def entity_similarity_attr(values_left: ValueEmbeddingMatrix,
     return SimilarityMatrix(scores, "attribute-view")
 
 
-def entity_similarity_attr_dense(values_left: ValueEmbeddingMatrix,
-                                 values_right: ValueEmbeddingMatrix,
-                                 slots_left: AttributeSlotMatrix,
-                                 slots_right: AttributeSlotMatrix) -> SimilarityMatrix:
-    """Definitional path: materialize all slot-pair products, mask, and sum.
-
-    Memory grows as N * N' * m_slots^2, so this is only for small inputs and
-    for cross-checking the grouped fast path.
-    """
-    _check_shapes(values_left, values_right, slots_left, slots_right)
-    sims = np.einsum("mid,njd->mnij", values_left.data, values_right.data)
-    ids_l = slots_left.ids[:, None, :, None]
-    ids_r = slots_right.ids[None, :, None, :]
-    mask = (ids_l == ids_r) & (ids_l != -1)
-    return SimilarityMatrix((sims * mask).sum(axis=(2, 3)), "attribute-view")
-
-
-class SlotPairEvidence:
-    """On-demand slot-pair similarities plus the attributes and values behind
-    them, for aligned entity pairs."""
-
-    def __init__(self, g: KnowledgeGraph, g2: KnowledgeGraph,
-                 values_left: ValueEmbeddingMatrix, values_right: ValueEmbeddingMatrix):
-        self.graph_left = g
-        self.graph_right = g2
-        self.values_left = values_left
-        self.values_right = values_right
-
-    def slot_similarities(self, left: int, right: int) -> np.ndarray:
-        """Dot products of every left slot against every right slot."""
-        return self.values_left.data[left] @ self.values_right.data[right].T
-
-    def left_slots(self, left: int):
-        return self.values_left.slots[left]
-
-    def right_slots(self, right: int):
-        return self.values_right.slots[right]
-
-
 @dataclass
 class AttributeInference:
     """New alignments proposed by the attribute view in one iteration."""
@@ -256,8 +215,10 @@ class AttributeInference:
 
 
 def infer_from_attribute_view(s_attr: SimilarityMatrix, store: AlignmentStore,
-                              candidates: CandidateSet, tau_e_attr: float,
-                              evidence: SlotPairEvidence, tau_v: float) -> AttributeInference:
+                              candidates: CandidateSet, tau_e_attr: float, tau_v: float,
+                              g: KnowledgeGraph, g2: KnowledgeGraph,
+                              values_left: ValueEmbeddingMatrix,
+                              values_right: ValueEmbeddingMatrix) -> AttributeInference:
     """Entity, attribute, and value alignments from the attribute view.
 
     Entity pairs clear ``tau_e_attr`` and are one-to-one reduced.  Attribute
@@ -271,9 +232,9 @@ def infer_from_attribute_view(s_attr: SimilarityMatrix, store: AlignmentStore,
 
     proposals: dict[tuple[int, int], float] = {}
     for left, right in known_pairs:
-        sims = evidence.slot_similarities(left, right)
-        slots_l = evidence.left_slots(left)
-        slots_r = evidence.right_slots(right)
+        sims = values_left.data[left] @ values_right.data[right].T
+        slots_l = values_left.slots[left]
+        slots_r = values_right.slots[right]
         for i, j in np.argwhere(sims > tau_v):
             if i >= len(slots_l) or j >= len(slots_r):
                 continue
@@ -290,11 +251,11 @@ def infer_from_attribute_view(s_attr: SimilarityMatrix, store: AlignmentStore,
     attr_map.update({a: b for a, b, _ in new_attrs})
     new_vals: set[tuple[ValueText, ValueText]] = set()
     for left, right in known_pairs:
-        for attr, value in evidence.graph_left.attributes_of(left):
+        for attr, value in g.attributes_of(left):
             counterpart = attr_map.get(attr)
             if counterpart is None:
                 continue
-            for value2 in evidence.graph_right.values_of(right, counterpart):
+            for value2 in g2.values_of(right, counterpart):
                 if (value, value2) not in store.val_pairs:
                     new_vals.add((value, value2))
     return AttributeInference(entities, new_attrs, new_vals)

@@ -202,8 +202,16 @@ def _pair_lines(path):
             yield lineno, parts[0], parts[1]
 
 
-def _read_pairs(path) -> list[tuple[str, str]]:
-    return [(left, right) for _, left, right in _pair_lines(path)]
+def _read_pairs(path, g, g2) -> list[tuple[str, str]]:
+    """Entity label pairs of an ILL file; each label must name an entity of its graph."""
+    pairs = []
+    for lineno, left, right in _pair_lines(path):
+        if not g.has_entity(left):
+            raise ParseError(path, lineno, f"unknown left entity {left!r}")
+        if not g2.has_entity(right):
+            raise ParseError(path, lineno, f"unknown right entity {right!r}")
+        pairs.append((left, right))
+    return pairs
 
 
 def _resolve_pairs(g, g2, label_pairs):
@@ -228,11 +236,11 @@ def cmd_align(args) -> int:
              g2.num_entities, g2.num_relations, g2.num_attributes)
 
     if cfg.ill_train:
-        train = _read_pairs(cfg.ill_train)
-        valid = _read_pairs(cfg.ill_valid)
-        test = _read_pairs(cfg.ill_test)
+        train = _read_pairs(cfg.ill_train, g, g2)
+        valid = _read_pairs(cfg.ill_valid, g, g2)
+        test = _read_pairs(cfg.ill_test, g, g2)
     else:
-        train, valid, test = split_ills(_read_pairs(cfg.ill), rng_seed=cfg.rng_seed)
+        train, valid, test = split_ills(_read_pairs(cfg.ill, g, g2), rng_seed=cfg.rng_seed)
 
     seeds = build_initial_seeds(g, g2, train)
     valid_ids = _resolve_pairs(g, g2, valid)

@@ -276,9 +276,6 @@ class AlignmentStore:
         self.provenance[("val", left.raw, right.raw)] = provenance
         return True
 
-    def ent_counterpart(self, left: int):
-        return self._ent_left.get(left)
-
     def attr_map(self) -> dict[int, int]:
         return dict(self._attr_left)
 
@@ -318,14 +315,13 @@ class CandidateSet:
     """Entity pairs still eligible for inference.
 
     Represented implicitly as the product of unaligned left and right
-    entities; consumed pairs are recorded so the pool and the alignment
-    store stay disjoint.
+    entities; consuming a pair frees neither endpoint again, so the pool and
+    the alignment store stay disjoint.
     """
 
     def __init__(self, free_left, free_right):
         self.free_left: set[int] = set(free_left)
         self.free_right: set[int] = set(free_right)
-        self.removed: set[tuple[int, int]] = set()
 
     @classmethod
     def from_graphs(cls, g: KnowledgeGraph, g2: KnowledgeGraph,
@@ -339,7 +335,6 @@ class CandidateSet:
     def consume(self, left: int, right: int) -> None:
         self.free_left.discard(left)
         self.free_right.discard(right)
-        self.removed.add((left, right))
 
 
 @dataclass
@@ -365,21 +360,25 @@ class RankedAlignmentList:
         return {(m, n): s for m, n, s in self.pairs}
 
 
-def greedy_one_to_one(scored, taken_left=(), taken_right=()) -> list[tuple[int, int, float]]:
-    """Accept pairs in descending score order, skipping consumed endpoints.
+def greedy_one_to_one(scored, taken_left=(), taken_right=(),
+                      key=lambda row: (-row[2], row[0], row[1])) -> list[tuple]:
+    """Accept rows in ``key`` order, skipping consumed endpoints.
 
-    Ties break toward the lexicographically smaller (left, right), so the
-    result is a deterministic one-to-one matching.
+    Each row starts with (left, right); accepted rows are returned as given.
+    The default key ranks (left, right, score) rows by descending score with
+    ties toward the smaller (left, right).  Over distinct pairs, any key that
+    ends in (left, right) makes the result a deterministic one-to-one matching.
     """
     taken_l = set(taken_left)
     taken_r = set(taken_right)
     accepted = []
-    for left, right, score in sorted(scored, key=lambda p: (-p[2], p[0], p[1])):
+    for row in sorted(scored, key=key):
+        left, right = row[0], row[1]
         if left in taken_l or right in taken_r:
             continue
         taken_l.add(left)
         taken_r.add(right)
-        accepted.append((left, right, score))
+        accepted.append(row)
     return accepted
 
 

@@ -21,8 +21,9 @@ import numpy as np
 from .attribute_model import (
     AttributeInference,
     SimilarityMatrix,
-    SlotPairEvidence,
+    ValueEmbeddingMatrix,
     build_attr_slot_matrix,
+    build_attribute_unification,
     build_value_matrix,
     entity_similarity_attr,
     infer_from_attribute_view,
@@ -36,6 +37,7 @@ from .kg import (
     KnowledgeGraph,
     RankedAlignmentList,
     frequent_attributes,
+    greedy_one_to_one,
     infer_entity_pairs,
 )
 from .relationship_model import (
@@ -110,6 +112,7 @@ class IterationRecord:
     store_size: int
     candidate_overlap: int  # aligned entities still in the candidate pool; must be 0
     transe: dict = field(default_factory=dict)  # TransE summary; empty without that view
+    translator: dict = field(default_factory=dict)  # EM summary; empty unless trained this round
 
     def to_json_line(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
@@ -191,6 +194,18 @@ def merge_standard(attr_list: RankedAlignmentList, infer_remaining):
     return entries, rel_list
 
 
+def _with_provenance(rows, from_attr, from_rel):
+    """(left, right, provenance) per accepted row: merged when both views
+    proposed the pair, else the view that did."""
+    entries = []
+    for m, n, *_ in rows:
+        if (m, n) in from_attr and (m, n) in from_rel:
+            entries.append((m, n, PROV_MERGED))
+        else:
+            entries.append((m, n, PROV_ATTR if (m, n) in from_attr else PROV_REL))
+    return entries
+
+
 def merge_score(attr_list: RankedAlignmentList, rel_list: RankedAlignmentList,
                 s_attr: np.ndarray, s_rel: np.ndarray):
     """Conflicts keep the counterpart with the larger summed score.
@@ -206,18 +221,8 @@ def merge_score(attr_list: RankedAlignmentList, rel_list: RankedAlignmentList,
         sa = float(s_attr[m, n])
         sr = float(s_rel[m, n])
         rows.append((m, n, sa + sr, sa, sr))
-    rows.sort(key=lambda r: (-r[2], -r[3], -r[4], r[0], r[1]))
-    entries = []
-    taken_l: set[int] = set()
-    taken_r: set[int] = set()
-    for m, n, _, _, _ in rows:
-        if m in taken_l or n in taken_r:
-            continue
-        taken_l.add(m)
-        taken_r.add(n)
-        both = (m, n) in from_attr and (m, n) in from_rel
-        entries.append((m, n, PROV_MERGED if both else (PROV_ATTR if (m, n) in from_attr else PROV_REL)))
-    return entries
+    chosen = greedy_one_to_one(rows, key=lambda r: (-r[2], -r[3], -r[4], r[0], r[1]))
+    return _with_provenance(chosen, from_attr, from_rel)
 
 
 def merge_rank(attr_list: RankedAlignmentList, rel_list: RankedAlignmentList):
@@ -238,18 +243,8 @@ def merge_rank(attr_list: RankedAlignmentList, rel_list: RankedAlignmentList):
         ratio = min(ratios_attr.get(pair, np.inf), ratios_rel.get(pair, np.inf))
         rows.append((pair[0], pair[1], ratio,
                      scores_attr.get(pair, _NEG_INF), scores_rel.get(pair, _NEG_INF)))
-    rows.sort(key=lambda r: (r[2], -r[3], -r[4], r[0], r[1]))
-    entries = []
-    taken_l: set[int] = set()
-    taken_r: set[int] = set()
-    for m, n, _, _, _ in rows:
-        if m in taken_l or n in taken_r:
-            continue
-        taken_l.add(m)
-        taken_r.add(n)
-        both = (m, n) in ratios_attr and (m, n) in ratios_rel
-        entries.append((m, n, PROV_MERGED if both else (PROV_ATTR if (m, n) in ratios_attr else PROV_REL)))
-    return entries
+    chosen = greedy_one_to_one(rows, key=lambda r: (r[2], -r[3], -r[4], r[0], r[1]))
+    return _with_provenance(chosen, ratios_attr, ratios_rel)
 
 
 def _resolve_threshold(fixed: float | None, thresholds: Thresholds, valid_pairs, scores) -> float:
@@ -289,6 +284,8 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
     use_rel = settings.views in ("both", "rel")
 
     table: TranslationTable | None = None
+    values_left: ValueEmbeddingMatrix | None = None
+    values_right: ValueEmbeddingMatrix | None = None
     embeddings: EmbeddingTable | None = None
     s_attr: SimilarityMatrix | None = None
     s_rel: SimilarityMatrix | None = None
@@ -302,23 +299,35 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
         rel_list = RankedAlignmentList([])
         new_rel_pairs: list = []
         transe_summary: dict = {}
+        translator_summary: dict = {}
 
         if use_attr:
             tick = time.perf_counter()
-            if settings.retrain_translator or table is None:
+            # The left values change only with the translator, the right never.
+            retrain = settings.retrain_translator or table is None
+            if retrain:
                 train_pairs = sorted(store.val_pairs, key=lambda p: (p[0].raw, p[1].raw))
                 try:
                     table = train_translation(train_pairs, settings.em_iterations)
                 except ValueError as exc:
                     LOG.warning("translator not trained (%s); embedding raw values", exc)
                     table = None
+                else:
+                    translator_summary = {"pairs": len(train_pairs),
+                                          "ll_first": table.log_likelihoods[0],
+                                          "ll_last": table.log_likelihoods[-1]}
             timings["translator"] = time.perf_counter() - tick
 
             tick = time.perf_counter()
-            values_left = build_value_matrix(g, table, provider, settings.m_slots, frequent.left)
-            values_right = build_value_matrix(g2, None, provider, settings.m_slots, frequent.right)
-            slots_left = build_attr_slot_matrix(g, settings.m_slots, frequent, store.attr_pairs, "left")
-            slots_right = build_attr_slot_matrix(g2, settings.m_slots, frequent, store.attr_pairs, "right")
+            if retrain:
+                values_left = build_value_matrix(g, table, provider, settings.m_slots,
+                                                 frequent.left)
+            if values_right is None:
+                values_right = build_value_matrix(g2, None, provider, settings.m_slots,
+                                                  frequent.right)
+            unification = build_attribute_unification(frequent, store.attr_pairs)
+            slots_left = build_attr_slot_matrix(values_left, unification, "left")
+            slots_right = build_attr_slot_matrix(values_right, unification, "right")
             s_attr = entity_similarity_attr(values_left, values_right, slots_left, slots_right,
                                             settings.block_size, settings.workers)
             timings["attribute_scores"] = time.perf_counter() - tick
@@ -327,9 +336,9 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
             tau_attr = _resolve_threshold(settings.thresholds.tau_e_attr, settings.thresholds,
                                           valid_pairs, s_attr.data)
             used["tau_e_attr"] = tau_attr
-            evidence = SlotPairEvidence(g, g2, values_left, values_right)
             attr_inf = infer_from_attribute_view(s_attr, store, candidates, tau_attr,
-                                                 evidence, settings.thresholds.tau_v)
+                                                 settings.thresholds.tau_v,
+                                                 g, g2, values_left, values_right)
             timings["attribute_inference"] = time.perf_counter() - tick
 
         tau_rel = None
@@ -393,7 +402,7 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
             "new_val": int(new_val),
         }
         records.append(IterationRecord(iteration, counts, used, timings, store.size(), overlap,
-                                       transe_summary))
+                                       transe_summary, translator_summary))
         LOG.info("iteration %d: %s", iteration, counts)
 
         if new_ent + new_attr + new_rel + new_val == 0:

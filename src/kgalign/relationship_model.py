@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kg import AlignmentStore, CandidateSet, KnowledgeGraph, \
-    greedy_one_to_one, infer_entity_pairs
+from .kg import AlignmentStore, KnowledgeGraph, greedy_one_to_one
 from .attribute_model import SimilarityMatrix
 
 LOG = logging.getLogger(__name__)
@@ -305,15 +304,6 @@ def infer_relation_pairs(rel_scores: np.ndarray, tau_r: float,
               if (int(a), int(b)) not in store.rel_pairs]
     taken_left, taken_right = store.taken_relations()
     return greedy_one_to_one(scored, taken_left, taken_right)
-
-
-def infer_from_relationship_view(s_rel: SimilarityMatrix, candidates: CandidateSet,
-                                 tau_e_rel: float, rel_scores: np.ndarray, tau_r: float,
-                                 store: AlignmentStore):
-    """Entity and relation alignments from the relationship view."""
-    entities = infer_entity_pairs(s_rel.data, candidates, tau_e_rel)
-    relations = infer_relation_pairs(rel_scores, tau_r, store)
-    return entities, relations
 
 
 def export_embeddings(vectors: np.ndarray, labels, path) -> None:

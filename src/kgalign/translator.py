@@ -103,11 +103,6 @@ def train_translation(pairs, iterations: int = 10) -> TranslationTable:
     return TranslationTable(probs, source_vocab, target_vocab, iterations, log_likelihoods)
 
 
-def update_translation(old: TranslationTable, all_pairs) -> TranslationTable:
-    """Retrain from scratch on the augmented pair corpus (stateless)."""
-    return train_translation(all_pairs, old.em_iterations)
-
-
 def translate_value(table: TranslationTable, value: ValueText) -> ValueText:
     """Token-wise argmax translation; unknown tokens pass through unchanged."""
     out = [table.best(tok) or tok for tok in value.tokens]
@@ -126,7 +121,6 @@ class WordVectorProvider:
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
-        self.mode = "hash-deterministic"
         self._cache: dict[str, np.ndarray] = {}
 
     def vector(self, token: str) -> np.ndarray:

@@ -14,7 +14,6 @@ from kgalign.attribute_model import (
     AttributeSlotMatrix,
     ValueEmbeddingMatrix,
     entity_similarity_attr,
-    entity_similarity_attr_dense,
 )
 from kgalign.kg import RankedAlignmentList, ValueText, build_initial_seeds
 from kgalign.metrics import evaluate
@@ -29,6 +28,7 @@ from kgalign.pipeline import (
 from kgalign.relationship_model import TrainConfig, minibatch_loss_and_grad
 from kgalign.synth import SynthSpec, generate_synth
 from kgalign.translator import train_translation
+from oracles import brute_force_scores, entity_similarity_attr_dense
 
 
 def check(name, condition, detail=""):
@@ -55,28 +55,12 @@ def tensor_fixtures(count=100, seed=1234):
             vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
             ids = rng.integers(-1, n_ids, size=(count_, m))
             vecs[ids == -1] = 0.0
-            return (ValueEmbeddingMatrix(vecs, (ids != -1).sum(axis=1),
-                                         np.arange(count_), []),
-                    AttributeSlotMatrix(ids, n_ids, n_ids))
+            return (ValueEmbeddingMatrix(vecs, (ids != -1).sum(axis=1), []),
+                    AttributeSlotMatrix(ids))
 
         vl, il = side(n)
         vr, ir = side(n2)
         yield vl, vr, il, ir
-
-
-def brute_force_scores(values_l, values_r, ids_l, ids_r):
-    n, m, _ = values_l.shape
-    n2 = values_r.shape[0]
-    out = np.zeros((n, n2))
-    for a in range(n):
-        for b in range(n2):
-            total = 0.0
-            for i in range(m):
-                for j in range(m):
-                    if ids_l[a, i] != -1 and ids_l[a, i] == ids_r[b, j]:
-                        total += float(values_l[a, i] @ values_r[b, j])
-            out[a, b] = total
-    return out
 
 
 def test_tensor_math_oracle():

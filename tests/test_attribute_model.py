@@ -6,13 +6,11 @@ import pytest
 from kgalign.attribute_model import (
     AttributeSlotMatrix,
     SimilarityMatrix,
-    SlotPairEvidence,
     ValueEmbeddingMatrix,
     build_attr_slot_matrix,
     build_attribute_unification,
     build_value_matrix,
     entity_similarity_attr,
-    entity_similarity_attr_dense,
     infer_from_attribute_view,
     read_similarity_dump,
     write_similarity_dump,
@@ -25,22 +23,7 @@ from kgalign.kg import (
     top_m_attr_slots,
 )
 from kgalign.translator import WordVectorProvider, embed_value
-
-
-def brute_force_scores(values_l, values_r, ids_l, ids_r):
-    """Quadruple-loop reference: every slot pair, masked by equal ids."""
-    n, m, _ = values_l.shape
-    n2 = values_r.shape[0]
-    out = np.zeros((n, n2))
-    for a in range(n):
-        for b in range(n2):
-            total = 0.0
-            for i in range(m):
-                for j in range(m):
-                    if ids_l[a, i] != -1 and ids_l[a, i] == ids_r[b, j]:
-                        total += float(values_l[a, i] @ values_r[b, j])
-            out[a, b] = total
-    return out
+from oracles import brute_force_scores, entity_similarity_attr_dense
 
 
 def random_fixture(rng, n, n2, m, dim, n_ids=4):
@@ -53,11 +36,9 @@ def random_fixture(rng, n, n2, m, dim, n_ids=4):
 
     vl, il = side(n)
     vr, ir = side(n2)
-    values_l = ValueEmbeddingMatrix(vl, (il != -1).sum(axis=1), np.arange(n), [])
-    values_r = ValueEmbeddingMatrix(vr, (ir != -1).sum(axis=1), np.arange(n2), [])
-    slots_l = AttributeSlotMatrix(il, n_ids, n_ids)
-    slots_r = AttributeSlotMatrix(ir, n_ids, n_ids)
-    return values_l, values_r, slots_l, slots_r
+    values_l = ValueEmbeddingMatrix(vl, (il != -1).sum(axis=1), [])
+    values_r = ValueEmbeddingMatrix(vr, (ir != -1).sum(axis=1), [])
+    return values_l, values_r, AttributeSlotMatrix(il), AttributeSlotMatrix(ir)
 
 
 class TestUnification:
@@ -81,15 +62,19 @@ class TestUnification:
         g2 = KnowledgeGraph([], rows2)
         freq = FrequentAttributes(frozenset(range(g.num_attributes)),
                                   frozenset(range(g2.num_attributes)))
-        before = build_attr_slot_matrix(g, 2, freq, set(), "left")
+        values = build_value_matrix(g, None, WordVectorProvider(8), 2, freq.left)
+        unification = build_attribute_unification(freq, set())
+        before = build_attr_slot_matrix(values, unification, "left")
         pair = (g.attribute_id("a1"), g2.attribute_id("b0"))
-        after = build_attr_slot_matrix(g, 2, freq, {pair}, "left")
+        after = build_attr_slot_matrix(values, build_attribute_unification(freq, {pair}), "left")
         changed = before.ids != after.ids
         slots = [top_m_attr_slots(g, e, 2, freq.left) for e in range(g.num_entities)]
         for e in range(g.num_entities):
             for i in range(2):
                 is_affected = i < len(slots[e]) and slots[e][i][0] == pair[0]
                 assert changed[e, i] == is_affected
+                expected = unification.left_ids[slots[e][i][0]] if i < len(slots[e]) else -1
+                assert before.ids[e, i] == expected
 
 
 class TestBuildValueMatrix:
@@ -124,12 +109,10 @@ class TestEntitySimilarity:
     def unit_fixture(self, same_id):
         provider = WordVectorProvider(8)
         vec = provider.vector("x")
-        values = ValueEmbeddingMatrix(vec.reshape(1, 1, 8).copy(), np.array([1]),
-                                      np.arange(1), [])
-        values2 = ValueEmbeddingMatrix(vec.reshape(1, 1, 8).copy(), np.array([1]),
-                                       np.arange(1), [])
-        ids = AttributeSlotMatrix(np.array([[0]]), 2, 2)
-        ids2 = AttributeSlotMatrix(np.array([[0 if same_id else 1]]), 2, 2)
+        values = ValueEmbeddingMatrix(vec.reshape(1, 1, 8).copy(), np.array([1]), [])
+        values2 = ValueEmbeddingMatrix(vec.reshape(1, 1, 8).copy(), np.array([1]), [])
+        ids = AttributeSlotMatrix(np.array([[0]]))
+        ids2 = AttributeSlotMatrix(np.array([[0 if same_id else 1]]))
         return values, values2, ids, ids2
 
     def test_identical_embeddings_same_id(self):
@@ -149,8 +132,9 @@ class TestEntitySimilarity:
         provider = WordVectorProvider(16)
         vl = build_value_matrix(g, None, provider, 2, freq.left)
         vr = build_value_matrix(g2, None, provider, 2, freq.right)
-        sl = build_attr_slot_matrix(g, 2, freq, set(), "left")
-        sr = build_attr_slot_matrix(g2, 2, freq, set(), "right")
+        unification = build_attribute_unification(freq, set())
+        sl = build_attr_slot_matrix(vl, unification, "left")
+        sr = build_attr_slot_matrix(vr, unification, "right")
         s = entity_similarity_attr(vl, vr, sl, sr)
         np.testing.assert_array_equal(s.data, 0.0)
 
@@ -186,14 +170,14 @@ class TestEntitySimilarity:
         vr = np.abs(rng.standard_normal((5, 2, 6)))
         vr /= np.linalg.norm(vr, axis=2, keepdims=True)
         ids_l = np.array([[0, 1]] * 4)
-        values_l = ValueEmbeddingMatrix(vl, np.full(4, 2), np.arange(4), [])
-        values_r = ValueEmbeddingMatrix(vr, np.full(5, 2), np.arange(5), [])
+        values_l = ValueEmbeddingMatrix(vl, np.full(4, 2), [])
+        values_r = ValueEmbeddingMatrix(vr, np.full(5, 2), [])
         without = entity_similarity_attr(values_l, values_r,
-                                         AttributeSlotMatrix(ids_l, 4, 4),
-                                         AttributeSlotMatrix(np.array([[2, 1]] * 5), 4, 4))
+                                         AttributeSlotMatrix(ids_l),
+                                         AttributeSlotMatrix(np.array([[2, 1]] * 5)))
         with_pair = entity_similarity_attr(values_l, values_r,
-                                           AttributeSlotMatrix(ids_l, 4, 4),
-                                           AttributeSlotMatrix(np.array([[0, 1]] * 5), 4, 4))
+                                           AttributeSlotMatrix(ids_l),
+                                           AttributeSlotMatrix(np.array([[0, 1]] * 5)))
         assert (with_pair.data >= without.data - 1e-12).all()
 
     def test_slot_permutation_invariance(self):
@@ -201,15 +185,15 @@ class TestEntitySimilarity:
         vl, vr, il, ir = random_fixture(rng, 3, 3, 4, 5)
         base = entity_similarity_attr(vl, vr, il, ir)
         perm = rng.permutation(4)
-        vl2 = ValueEmbeddingMatrix(vl.data[:, perm], vl.slot_count, vl.entity_ids, [])
-        il2 = AttributeSlotMatrix(il.ids[:, perm], il.universe_size, il.united_count)
+        vl2 = ValueEmbeddingMatrix(vl.data[:, perm], vl.slot_count, [])
+        il2 = AttributeSlotMatrix(il.ids[:, perm])
         permuted = entity_similarity_attr(vl2, vr, il2, ir)
         np.testing.assert_allclose(base.data, permuted.data, atol=1e-12)
 
     def test_dimension_mismatch_raises(self):
         rng = np.random.default_rng(5)
         vl, vr, il, ir = random_fixture(rng, 2, 2, 2, 4)
-        bad = ValueEmbeddingMatrix(np.zeros((2, 2, 7)), vr.slot_count, vr.entity_ids, [])
+        bad = ValueEmbeddingMatrix(np.zeros((2, 2, 7)), vr.slot_count, [])
         with pytest.raises(ValueError):
             entity_similarity_attr(vl, bad, il, ir)
 
@@ -262,12 +246,12 @@ class TestAttributeInference:
                                   frozenset(range(g2.num_attributes)))
         vl = build_value_matrix(g, None, provider, 3, freq.left)
         vr = build_value_matrix(g2, None, provider, 3, freq.right)
-        sl = build_attr_slot_matrix(g, 3, freq, store.attr_pairs, "left")
-        sr = build_attr_slot_matrix(g2, 3, freq, store.attr_pairs, "right")
+        unification = build_attribute_unification(freq, store.attr_pairs)
+        sl = build_attr_slot_matrix(vl, unification, "left")
+        sr = build_attr_slot_matrix(vr, unification, "right")
         s = entity_similarity_attr(vl, vr, sl, sr)
-        evidence = SlotPairEvidence(g, g2, vl, vr)
         cands = CandidateSet.from_graphs(g, g2, store)
-        return infer_from_attribute_view(s, store, cands, tau_e, evidence, tau_v), s
+        return infer_from_attribute_view(s, store, cands, tau_e, tau_v, g, g2, vl, vr), s
 
     def test_threshold_rule_single_entry(self):
         g, g2, store = make_aligned_pair()

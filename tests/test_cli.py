@@ -107,6 +107,19 @@ class TestAlign:
         assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
         assert f"{bad}:2: expected 2 tab-separated fields, got 1" in caplog.text
 
+    @pytest.mark.parametrize("name", ["ill_train", "ill_valid", "ill_test", "ill_ent_pairs"])
+    def test_unknown_ill_entity_exit_two_with_location(self, dataset, tmp_path, caplog, name):
+        bad = tmp_path / name
+        lines = (dataset / name).read_text(encoding="utf-8").splitlines()
+        bad.write_text("\n".join(lines + ["nosuch\tf0"]) + "\n", encoding="utf-8")
+        field = "ill" if name == "ill_ent_pairs" else name
+        cfg = config_for(dataset, tmp_path / "out", **{field: str(bad)})
+        if field == "ill":
+            cfg.ill_train = cfg.ill_valid = cfg.ill_test = ""
+        cfg.to_file(tmp_path / "c.ini")
+        assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
+        assert f"{bad}:{len(lines) + 1}: unknown left entity 'nosuch'" in caplog.text
+
     def test_identical_runs_identical_dumps(self, dataset, tmp_path, capsys):
         for name in ("a", "b"):
             cfg = config_for(dataset, tmp_path / name)

@@ -305,7 +305,7 @@ class TestCandidateSet:
         assert cands.contains(1, 1)
         cands.consume(1, 1)
         assert not cands.contains(1, 2)
-        assert (1, 1) in cands.removed
+        assert 1 not in cands.free_left and 1 not in cands.free_right
 
 
 class TestGreedyOneToOne:
@@ -332,3 +332,22 @@ class TestGreedyOneToOne:
         assert len(set(rights)) == len(rights)
         scores = [s for _, _, s in out]
         assert scores == sorted(scores, reverse=True)
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                              st.sampled_from([-1.0, 0.0, 0.5, 1.0])), max_size=25),
+           st.sets(st.integers(0, 5)), st.sets(st.integers(0, 5)),
+           st.sampled_from([None,
+                            lambda r: (r[2], r[0], r[1]),
+                            lambda r: (r[1], -r[2], r[0])]),
+           st.randoms())
+    def test_any_key_one_to_one_disjoint_and_order_free(self, scored, taken_l, taken_r, key,
+                                                        rnd):
+        keyed = {} if key is None else {"key": key}
+        out = greedy_one_to_one(scored, taken_l, taken_r, **keyed)
+        lefts = [row[0] for row in out]
+        rights = [row[1] for row in out]
+        assert len(set(lefts)) == len(lefts) and len(set(rights)) == len(rights)
+        assert not set(lefts) & taken_l and not set(rights) & taken_r
+        permuted = list(scored)
+        rnd.shuffle(permuted)
+        assert greedy_one_to_one(permuted, taken_l, taken_r, **keyed) == out

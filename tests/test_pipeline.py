@@ -1,7 +1,10 @@
 """Merge strategies, threshold sweeps, and the bootstrap loop."""
 
+from random import Random
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from kgalign.kg import (
     PROV_ATTR,
@@ -10,6 +13,7 @@ from kgalign.kg import (
     RankedAlignmentList,
     build_initial_seeds,
 )
+from kgalign import pipeline
 from kgalign.pipeline import (
     PipelineSettings,
     Thresholds,
@@ -144,6 +148,58 @@ class TestMergeAgreementProperty:
             assert {(m, n) for m, n, _ in entries} == expected
 
 
+def assert_one_to_one_subset(entries, attr, rel):
+    pairs = [(m, n) for m, n, _ in entries]
+    assert set(pairs) <= {(m, n) for m, n, _ in attr.pairs + rel.pairs}
+    assert len({m for m, _ in pairs}) == len(pairs)
+    assert len({n for _, n in pairs}) == len(pairs)
+
+
+def shuffled(ranked_list, rnd):
+    pairs = list(ranked_list.pairs)
+    rnd.shuffle(pairs)
+    return RankedAlignmentList(pairs)
+
+
+PAIRS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=6, unique=True)
+MATRIX = st.lists(st.lists(st.floats(-1, 1), min_size=4, max_size=4), min_size=4, max_size=4)
+# (left, right, score) with distinct pairs and distinct scores, so no merge key ties
+PROPOSALS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.floats(-1, 1)),
+                     max_size=6, unique_by=(lambda p: p[:2], lambda p: p[2]))
+
+
+class TestMergeProperties:
+    @given(PAIRS, PAIRS, MATRIX, MATRIX, st.randoms())
+    @example([(0, 0)], [(0, 1)], [[0.9, 0.2]], [[0.1, 0.7]], Random(0))
+    @example([(0, 0)], [(0, 1)], [[0.8, 0.2]], [[0.2, 0.8]], Random(0))
+    @example([(0, 0)], [(0, 0)], [[0.9]], [[0.9]], Random(0))
+    def test_score_merge_one_to_one_and_order_free(self, attr_pairs, rel_pairs, s_attr, s_rel,
+                                                   rnd):
+        s_attr, s_rel = np.array(s_attr), np.array(s_rel)
+        attr = ranked(*[(m, n, s_attr[m, n]) for m, n in attr_pairs])
+        rel = ranked(*[(m, n, s_rel[m, n]) for m, n in rel_pairs])
+        entries = merge_score(attr, rel, s_attr, s_rel)
+        assert_one_to_one_subset(entries, attr, rel)
+        assert merge_score(shuffled(attr, rnd), shuffled(rel, rnd), s_attr, s_rel) == entries
+
+    @given(PROPOSALS, PROPOSALS, st.permutations(range(4)), st.permutations(range(4)))
+    @example([(0, 0, 0.9), (2, 3, 0.8), (1, 1, 0.7)], [(2, 2, 0.95)], range(4), range(4))
+    @example([(0, 0, 0.5)], [(0, 1, 0.9)], range(4), range(4))
+    @example([(0, 0, 0.9), (1, 1, 0.8)], [(1, 1, 0.9), (2, 2, 0.8), (3, 3, 0.7)],
+             [3, 2, 1, 0], [1, 0, 3, 2])
+    def test_rank_merge_one_to_one_and_relabel_free(self, attr_rows, rel_rows, perm_l, perm_r):
+        def ranked_by_score(rows, pl=range(4), pr=range(4)):
+            return ranked(*sorted(((pl[m], pr[n], s) for m, n, s in rows),
+                                  key=lambda p: -p[2]))
+
+        attr, rel = ranked_by_score(attr_rows), ranked_by_score(rel_rows)
+        entries = merge_rank(attr, rel)
+        assert_one_to_one_subset(entries, attr, rel)
+        relabeled = merge_rank(ranked_by_score(attr_rows, perm_l, perm_r),
+                               ranked_by_score(rel_rows, perm_l, perm_r))
+        assert relabeled == [(perm_l[m], perm_r[n], prov) for m, n, prov in entries]
+
+
 def sweep_oracle(valid_pairs, scores):
     """Exhaustive independent reimplementation of the documented sweep rule."""
     rows = np.array([m for m, _ in valid_pairs])
@@ -202,6 +258,16 @@ def identical_graphs(n=6):
     g2 = KnowledgeGraph([(h.replace("e", "f"), r, t.replace("e", "f")) for h, r, t in rel_rows],
                         [(h.replace("e", "f"), a, v) for h, a, v in attr_rows])
     return g, g2
+
+
+def chain_graphs(n=6):
+    """Entity i carries value i under "name" and value i + 1 under "next", so
+    each aligned pair teaches the translator the next entity's name."""
+    def side(entity, value):
+        return KnowledgeGraph([], [(f"{entity}{i}", a, f"{value}{i + k}") for i in range(n)
+                                   for k, a in enumerate(("name", "next"))])
+
+    return side("e", "w"), side("f", "v")
 
 
 def settings_for_tests(**kwargs):
@@ -321,6 +387,37 @@ class TestRunPipeline:
         attr_only = run_pipeline(g, g2, seeds, settings_for_tests(views="attr"),
                                  max_iterations=1)
         assert attr_only.records[0].transe == {}
+
+        for record in both.records:
+            translator = json.loads(record.to_json_line())["translator"]
+            assert set(translator) == {"pairs", "ll_first", "ll_last"}
+            assert translator["ll_first"] <= translator["ll_last"]
+        assert both.records[0].translator["pairs"] == len(seeds.val_pairs)
+        assert both.records[-1].translator["ll_last"] == both.translator.log_likelihoods[-1]
+        rel_only = run_pipeline(g, g2, seeds, settings_for_tests(views="rel"), max_iterations=1)
+        assert rel_only.records[0].translator == {}
+        frozen = run_pipeline(g, g2, seeds,
+                              settings_for_tests(views="attr", retrain_translator=False),
+                              max_iterations=2)
+        assert frozen.records[0].translator != {}
+        assert frozen.records[1].translator == {}
+
+    def test_value_matrices_built_once_per_translator(self, monkeypatch):
+        g, g2 = chain_graphs()
+        seeds = build_initial_seeds(g, g2, [("e0", "f0")])
+        calls = []
+        build = pipeline.build_value_matrix
+        monkeypatch.setattr(pipeline, "build_value_matrix",
+                            lambda graph, *args: calls.append(graph) or build(graph, *args))
+        retrained = run_pipeline(g, g2, seeds, settings_for_tests(views="attr"),
+                                 max_iterations=3)
+        # one more chain link per round, so three rounds do not converge
+        assert not retrained.converged and len(retrained.store.ent_pairs) == 4
+        assert calls == [g, g2, g, g]
+        calls.clear()
+        run_pipeline(g, g2, seeds, settings_for_tests(views="attr", retrain_translator=False),
+                     max_iterations=3)
+        assert calls == [g, g2]
 
     def test_fixed_tuning_requires_values(self):
         g, g2 = identical_graphs()

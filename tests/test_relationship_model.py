@@ -6,13 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from kgalign.kg import AlignmentStore, CandidateSet, KnowledgeGraph
+from kgalign.kg import AlignmentStore, CandidateSet, KnowledgeGraph, infer_entity_pairs
 from kgalign.relationship_model import (
     EmbeddingTable,
     TrainConfig,
     _is_positive,
     entity_similarity_rel,
-    infer_from_relationship_view,
     infer_relation_pairs,
     minibatch_loss_and_grad,
     swap_triplets,
@@ -365,27 +364,18 @@ class TestRelationshipInference:
 
     def test_threshold(self):
         scores = np.array([[0.95, 0.1, 0.1], [0.1, 0.2, 0.1], [0.1, 0.1, 0.3]])
-        from kgalign.attribute_model import SimilarityMatrix
-        ents, rels = infer_from_relationship_view(
-            SimilarityMatrix(scores, "relationship-view"), self.candidates(), 0.9,
-            np.zeros((1, 1)), 0.9, AlignmentStore())
+        ents = infer_entity_pairs(scores, self.candidates(), 0.9)
         assert [(m, n) for m, n, _ in ents.pairs] == [(0, 0)]
-        assert rels == []
+        assert infer_relation_pairs(np.zeros((1, 1)), 0.9, AlignmentStore()) == []
 
     def test_one_to_one_keeps_best(self):
-        from kgalign.attribute_model import SimilarityMatrix
         scores = np.array([[0.95, 0.93], [0.1, 0.1]])
-        ents, _ = infer_from_relationship_view(
-            SimilarityMatrix(scores, "relationship-view"), self.candidates(2), 0.9,
-            np.zeros((1, 1)), 0.9, AlignmentStore())
+        ents = infer_entity_pairs(scores, self.candidates(2), 0.9)
         assert [(m, n) for m, n, _ in ents.pairs] == [(0, 0)]
 
     def test_all_below_threshold_empty(self):
-        from kgalign.attribute_model import SimilarityMatrix
-        scores = np.full((3, 3), 0.5)
-        ents, rels = infer_from_relationship_view(
-            SimilarityMatrix(scores, "relationship-view"), self.candidates(), 0.9,
-            np.full((2, 2), 0.5), 0.9, AlignmentStore())
+        ents = infer_entity_pairs(np.full((3, 3), 0.5), self.candidates(), 0.9)
+        rels = infer_relation_pairs(np.full((2, 2), 0.5), 0.9, AlignmentStore())
         assert len(ents) == 0 and rels == []
 
     def test_relation_pairs_respect_store(self):

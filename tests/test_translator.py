@@ -11,7 +11,6 @@ from kgalign.translator import (
     load_translation_table,
     train_translation,
     translate_value,
-    update_translation,
 )
 
 
@@ -130,14 +129,14 @@ class TestUpdateTranslation:
     def test_retrain_determinism(self):
         seeds = pairs_of(("a b", "x y"), ("a", "x"))
         first = train_translation(seeds, 10)
-        again = update_translation(first, seeds)
+        again = train_translation(seeds, first.em_iterations)
         assert again.probs == first.probs
 
     def test_new_pair_unlocks_token(self):
         seeds = pairs_of(("a", "x"))
         table = train_translation(seeds, 10)
         assert table.best("c") is None
-        updated = update_translation(table, seeds + pairs_of(("c", "z")))
+        updated = train_translation(seeds + pairs_of(("c", "z")), table.em_iterations)
         assert updated.best("c") == "z"
 
     def test_duplicates_counted_once(self):
