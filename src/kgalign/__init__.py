@@ -42,7 +42,6 @@ from .relationship_model import (
     entity_similarity_rel,
     swap_triplets,
     train_transe,
-    transe_energy,
 )
 from .pipeline import (
     PipelineResult,

@@ -105,7 +105,10 @@ class PipelineConfig:
                 if not parser.has_option(section, name):
                     continue
                 raw = parser.get(section, name)
-                setattr(cfg, name, _parse_value(types[name], name, raw))
+                try:
+                    setattr(cfg, name, _parse_value(types[name], raw))
+                except ValueError as exc:
+                    raise ConfigError(f"{path}: cannot parse {name}={raw!r}") from exc
         return cfg
 
     def to_file(self, path) -> None:
@@ -133,10 +136,10 @@ class PipelineConfig:
                 raise ConfigError(f"missing ILL file: {value}")
         if self.merge_mode not in MERGE_MODES:
             raise ConfigError(f"merge_mode must be one of {MERGE_MODES}")
-        if self.views not in ("both", "attr", "rel"):
-            raise ConfigError("views must be both, attr, or rel")
-        if self.threshold_tuning not in ("fixed", "validation-sweep"):
-            raise ConfigError("threshold_tuning must be fixed or validation-sweep")
+        if self.threshold_tuning == "fixed":
+            for view, name in (("attr", "tau_e_attr"), ("rel", "tau_e_rel")):
+                if self.views in ("both", view) and getattr(self, name) is None:
+                    raise ConfigError(f"threshold_tuning is 'fixed' but {name} is unset")
 
     def settings(self) -> PipelineSettings:
         return PipelineSettings(
@@ -158,7 +161,7 @@ class PipelineConfig:
         )
 
 
-def _parse_value(ftype: str, name: str, raw: str):
+def _parse_value(ftype: str, raw: str):
     raw = raw.strip()
     if ftype == "int":
         return int(raw)
@@ -169,7 +172,7 @@ def _parse_value(ftype: str, name: str, raw: str):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
-        raise ConfigError(f"cannot parse boolean {name}={raw!r}")
+        raise ValueError(f"not a boolean: {raw!r}")
     if ftype == "float | None":
         return None if raw.lower() in ("", "none", "auto") else float(raw)
     if ftype == "tuple[int, ...]":
@@ -225,6 +228,10 @@ def cmd_align(args) -> int:
         if value is not None:
             setattr(cfg, name, value)
     cfg.validate()
+    try:
+        settings = cfg.settings()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -240,13 +247,17 @@ def cmd_align(args) -> int:
         valid = _read_pairs(cfg.ill_valid, g, g2)
         test = _read_pairs(cfg.ill_test, g, g2)
     else:
-        train, valid, test = split_ills(_read_pairs(cfg.ill, g, g2), rng_seed=cfg.rng_seed)
+        pairs = _read_pairs(cfg.ill, g, g2)
+        try:
+            train, valid, test = split_ills(pairs, rng_seed=cfg.rng_seed)
+        except ValueError as exc:
+            raise ConfigError(f"{cfg.ill}: {exc}") from exc
 
     seeds = build_initial_seeds(g, g2, train)
     valid_ids = _resolve_pairs(g, g2, valid)
     test_ids = _resolve_pairs(g, g2, test)
 
-    result = run_pipeline(g, g2, seeds, cfg.settings(), merge_mode=cfg.merge_mode,
+    result = run_pipeline(g, g2, seeds, settings, merge_mode=cfg.merge_mode,
                           max_iterations=cfg.max_iterations, valid_pairs=valid_ids)
     LOG.info("pipeline %s after %d iteration(s)",
              "converged" if result.converged else "was truncated", len(result.records))
@@ -288,11 +299,14 @@ def cmd_align(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = SynthSpec(n_entities=args.entities, n_relations=args.relations,
-                     n_attributes=args.attributes, rel_density=args.rel_density,
-                     attr_per_entity=args.attr_per_entity,
-                     dictionary_size=args.dictionary_size, drop_prob=args.drop_prob,
-                     seed_fraction=args.seed_fraction, rng_seed=args.seed)
+    try:
+        spec = SynthSpec(n_entities=args.entities, n_relations=args.relations,
+                         n_attributes=args.attributes, rel_density=args.rel_density,
+                         attr_per_entity=args.attr_per_entity,
+                         dictionary_size=args.dictionary_size, drop_prob=args.drop_prob,
+                         seed_fraction=args.seed_fraction, rng_seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     result = generate_synth(spec)
     files = write_dataset(result, args.out)
     summary = {
@@ -308,7 +322,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    scores = read_similarity_dump(args.matrix)
     pairs = []
     for lineno, left, right in _pair_lines(args.test):
         try:
@@ -316,8 +329,12 @@ def cmd_eval(args) -> int:
         except ValueError:
             raise ParseError(args.test, lineno,
                              f"expected integer ids, got {left!r}, {right!r}") from None
-    ks = tuple(int(x) for x in args.ks.split(",") if x.strip())
-    report = evaluate(scores, pairs, ks, source=args.source)
+    try:
+        scores = read_similarity_dump(args.matrix)
+        ks = tuple(int(x) for x in args.ks.split(",") if x.strip())
+        report = evaluate(scores, pairs, ks, source=args.source)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     print(report.to_json())
     return 0
 
@@ -367,10 +384,10 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (ConfigError, ParseError, FileNotFoundError) as exc:
         LOG.error("%s", exc)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         LOG.exception("runtime failure: %s", exc)
         return 1
 

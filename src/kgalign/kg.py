@@ -10,6 +10,7 @@ are deterministic.  Alignment state between two graphs lives in
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -31,10 +32,9 @@ _CJK_RANGES = (
     (0x20000, 0x2A6DF),  # CJK extension B
 )
 
-
-def _is_cjk(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
+# One CJK codepoint, or a run of alphanumerics (``str.isalnum``) without one.
+_CJK = "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in _CJK_RANGES)
+_TOKEN = re.compile(f"[{_CJK}]|[^\\W_{_CJK}]+")
 
 
 def tokenize(raw: str) -> tuple[str, ...]:
@@ -42,22 +42,7 @@ def tokenize(raw: str) -> tuple[str, ...]:
 
     The result is empty only when ``raw`` contains no word characters.
     """
-    tokens: list[str] = []
-    current: list[str] = []
-    for ch in raw.lower():
-        if _is_cjk(ch):
-            if current:
-                tokens.append("".join(current))
-                current = []
-            tokens.append(ch)
-        elif ch.isalnum():
-            current.append(ch)
-        elif current:
-            tokens.append("".join(current))
-            current = []
-    if current:
-        tokens.append("".join(current))
-    return tuple(tokens)
+    return tuple(_TOKEN.findall(raw.lower()))
 
 
 @dataclass(frozen=True)

@@ -103,16 +103,6 @@ class EmbeddingTable:
     epoch_losses: list[float] = field(default_factory=list)
     capped_negatives: int = 0  # negatives left equal to a known positive
 
-    def entity_vector(self, entity: int) -> np.ndarray:
-        if not 0 <= entity < self.ent.shape[0]:
-            raise LookupError(f"unknown entity id {entity}")
-        return self.ent[entity]
-
-    def relation_vector(self, relation: int) -> np.ndarray:
-        if not 0 <= relation < self.rel.shape[0]:
-            raise LookupError(f"unknown relation id {relation}")
-        return self.rel[relation]
-
     def training_summary(self) -> dict:
         """Loss-curve endpoints and resampling health of the training run."""
         losses = self.epoch_losses
@@ -121,14 +111,6 @@ class EmbeddingTable:
                 "loss_last": losses[-1] if losses else None,
                 "loss_min": min(losses) if losses else None,
                 "capped_negatives": self.capped_negatives}
-
-
-def transe_energy(table: EmbeddingTable, head: int, relation: int, tail: int) -> float:
-    """||h + r - t||, the residual the relation-translation leaves behind."""
-    h = table.entity_vector(head)
-    r = table.relation_vector(relation)
-    t = table.entity_vector(tail)
-    return float(np.linalg.norm(h + r - t))
 
 
 def _deltas(ent, rel, triples):

@@ -24,20 +24,8 @@ class TranslationTable:
     """Conditional token-translation probabilities, source -> target."""
 
     probs: dict[str, dict[str, float]]
-    source_vocab: frozenset[str]
-    target_vocab: frozenset[str]
-    em_iterations: int
+    best: dict[str, str]  # argmax target per source token; ties go to the smaller target
     log_likelihoods: list[float] = field(default_factory=list)
-
-    def best(self, token: str):
-        """Argmax target for one source token, or None when unseen.
-
-        Ties break toward the lexicographically smallest target token.
-        """
-        candidates = self.probs.get(token)
-        if not candidates:
-            return None
-        return min(candidates.items(), key=lambda kv: (-kv[1], kv[0]))[0]
 
 
 def _dedup_pairs(pairs) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
@@ -98,15 +86,16 @@ def train_translation(pairs, iterations: int = 10) -> TranslationTable:
             fresh[s][t] = c / totals[s]
         probs = fresh
 
-    source_vocab = frozenset(probs)
-    target_vocab = frozenset(t for ts in probs.values() for t in ts)
-    return TranslationTable(probs, source_vocab, target_vocab, iterations, log_likelihoods)
+    best = {s: min(ts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+            for s, ts in probs.items() if ts}
+    return TranslationTable(probs, best, log_likelihoods)
 
 
 def translate_value(table: TranslationTable, value: ValueText) -> ValueText:
     """Token-wise argmax translation; unknown tokens pass through unchanged."""
-    out = [table.best(tok) or tok for tok in value.tokens]
-    return ValueText.from_raw(" ".join(out))
+    out = tuple(table.best.get(tok, tok) for tok in value.tokens)
+    # Every token is a tokenize() output, so tokenizing the joined raw gives ``out``.
+    return ValueText(" ".join(out), out)
 
 
 class WordVectorProvider:
@@ -150,28 +139,3 @@ def embed_value(provider: WordVectorProvider, value: ValueText) -> np.ndarray:
         return np.zeros(provider.dimension)
     return mean / norm
 
-
-def export_translation_table(table: TranslationTable, path) -> None:
-    """Write ``source<TAB>target<TAB>probability`` lines, 10 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for source in sorted(table.probs):
-            for target in sorted(table.probs[source]):
-                fh.write(f"{source}\t{target}\t{table.probs[source][target]:.9e}\n")
-
-
-def load_translation_table(path) -> TranslationTable:
-    """Read a table exported by :func:`export_translation_table`.
-
-    Only the probability entries round-trip; the training trace does not.
-    """
-    probs: dict[str, dict[str, float]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            source, target, prob = line.split("\t")
-            probs.setdefault(source, {})[target] = float(prob)
-    source_vocab = frozenset(probs)
-    target_vocab = frozenset(t for ts in probs.values() for t in ts)
-    return TranslationTable(probs, source_vocab, target_vocab, 0, [])

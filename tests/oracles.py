@@ -1,9 +1,40 @@
-"""Reference implementations that the fast attribute-view scoring is checked
-against; slow by design and used only by the tests."""
+"""Reference implementations that the fast paths are checked against; slow by
+design and used only by the tests."""
 
 import numpy as np
 
 from kgalign.attribute_model import SimilarityMatrix
+from kgalign.kg import _CJK_RANGES
+
+
+def _is_cjk(ch):
+    cp = ord(ch)
+    return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
+
+
+def tokenize_loop(raw):
+    """Character loop: CJK codepoints alone, runs of ``isalnum`` characters."""
+    tokens = []
+    current = []
+    for ch in raw.lower():
+        if _is_cjk(ch):
+            if current:
+                tokens.append("".join(current))
+                current = []
+            tokens.append(ch)
+        elif ch.isalnum():
+            current.append(ch)
+        elif current:
+            tokens.append("".join(current))
+            current = []
+    if current:
+        tokens.append("".join(current))
+    return tuple(tokens)
+
+
+def transe_energy(table, head, relation, tail):
+    """||h + r - t||, the residual the relation-translation leaves behind."""
+    return float(np.linalg.norm(table.ent[head] + table.rel[relation] - table.ent[tail]))
 
 
 def brute_force_scores(values_l, values_r, ids_l, ids_r):

@@ -159,7 +159,7 @@ def test_em_dictionary_recovery():
     start = time.perf_counter()
     table = train_translation(pairs, 12)
     elapsed = time.perf_counter() - start
-    rate = sum(table.best(s) == mapping[s] for s in mapping) / n_tokens
+    rate = sum(table.best.get(s) == mapping[s] for s in mapping) / n_tokens
     check("em-dictionary-recovery", rate >= 0.95 and elapsed < 5.0,
           f"recovered {rate:.1%} of {n_tokens} entries in {elapsed:.1f}s")
 

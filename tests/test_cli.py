@@ -98,6 +98,26 @@ class TestAlign:
         assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
         assert "nowhere.tsv" in caplog.text
 
+    @pytest.mark.parametrize("views", ["both", "rel"])
+    def test_fixed_tuning_without_view_threshold_exit_two(self, dataset, tmp_path, caplog,
+                                                          views):
+        cfg = config_for(dataset, tmp_path / "out", threshold_tuning="fixed",
+                         tau_e_attr=0.5, views=views)
+        cfg.to_file(tmp_path / "c.ini")
+        assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
+        assert "tau_e_rel is unset" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_runtime_error_in_pipeline_exit_one(self, dataset, tmp_path, caplog, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "run_pipeline", fail)
+        cfg = config_for(dataset, tmp_path / "out")
+        cfg.to_file(tmp_path / "c.ini")
+        assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 1
+        assert "runtime failure: boom" in caplog.text
+
     def test_malformed_ill_line_exit_two_with_location(self, dataset, tmp_path, caplog):
         bad = tmp_path / "ill_valid"
         lines = (dataset / "ill_valid").read_text(encoding="utf-8").splitlines()

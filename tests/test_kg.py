@@ -1,5 +1,7 @@
 """Data model, ingestion, tokenization, and seed construction."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +18,8 @@ from kgalign.kg import (
     tokenize,
     top_m_attr_slots,
 )
+
+from oracles import tokenize_loop
 
 
 class TestTokenize:
@@ -45,6 +49,20 @@ class TestTokenize:
             assert not any(ch.isalnum() for ch in raw)
         else:
             assert any(ch.isalnum() for ch in raw)
+
+    def test_matches_loop_on_every_codepoint(self):
+        for start in range(0, sys.maxunicode + 1, 1000):
+            chunk = "".join(map(chr, range(start, min(start + 1000, sys.maxunicode + 1))))
+            assert tokenize(chunk) == tokenize_loop(chunk), hex(start)
+
+    @given(st.text())
+    def test_matches_loop(self, raw):
+        assert tokenize(raw) == tokenize_loop(raw)
+
+    @given(st.text())
+    def test_joined_tokens_tokenize_to_themselves(self, raw):
+        tokens = tokenize(raw)
+        assert tokenize(" ".join(tokens)) == tokens
 
 
 def write_lines(path, lines):

@@ -1,5 +1,6 @@
 """Merge strategies, threshold sweeps, and the bootstrap loop."""
 
+import hashlib
 from random import Random
 
 import numpy as np
@@ -22,6 +23,7 @@ from kgalign.pipeline import (
     merge_standard,
     run_pipeline,
     tune_thresholds,
+    write_alignment_dump,
 )
 from kgalign.relationship_model import TrainConfig
 from kgalign.synth import SynthSpec, generate_synth
@@ -481,3 +483,22 @@ class TestRunPipeline:
             assert provenance in {"seed", "attribute-view", "relationship-view", "merged"}
         assert kinds <= {"ent", "rel", "attr", "val"}
         assert "ent" in kinds and "val" in kinds
+
+    def test_attribute_view_alignment_digest_is_frozen(self, tmp_path):
+        # Pins tokenizing, translating and embedding bit for bit: round 1
+        # trains the translator on the seed values, round 2 retrains it on the
+        # values round 1 aligned and adds more pairs, round 3 adds none.
+        res = generate_synth(SynthSpec(n_entities=150, drop_prob=0.4, seed_fraction=0.15,
+                                       rng_seed=7))
+        g, g2 = res.left, res.right
+        seeds = build_initial_seeds(g, g2, res.ill_train)
+        valid = [(g.entity_id(a), g2.entity_id(b)) for a, b in res.ill_valid]
+        settings = PipelineSettings(m_slots=10, min_count=5, value_dim=50, em_iterations=10,
+                                    thresholds=Thresholds(tuning="validation-sweep"),
+                                    views="attr")
+        result = run_pipeline(g, g2, seeds, settings, max_iterations=3, valid_pairs=valid)
+        assert [r.counts["merged"] for r in result.records] == [18, 27, 0]
+        assert all(r.translator for r in result.records)
+        write_alignment_dump(result.store, g, g2, tmp_path / "alignments.tsv")
+        digest = hashlib.sha256((tmp_path / "alignments.tsv").read_bytes()).hexdigest()
+        assert digest == "3891c74fcf4f1b349edb4c35dd4c928f5b76d28184720fe37f0c60af9cd7a227"

@@ -2,13 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from kgalign.kg import ValueText
+from kgalign.kg import ValueText, tokenize
 from kgalign.translator import (
     WordVectorProvider,
     embed_value,
-    export_translation_table,
-    load_translation_table,
     train_translation,
     translate_value,
 )
@@ -53,8 +52,8 @@ class TestTrainTranslation:
 
     def test_two_pair_corpus_ten_iterations(self):
         table = train_translation(pairs_of(("a b", "x y"), ("a", "x")), 10)
-        assert table.best("a") == "x"
-        assert table.best("b") == "y"
+        assert table.best.get("a") == "x"
+        assert table.best.get("b") == "y"
         # frozen values from the independent EM oracle on this corpus
         assert table.probs["a"]["x"] == pytest.approx(0.997035273218, abs=1e-9)
         assert table.probs["a"]["y"] == pytest.approx(0.002964726782, abs=1e-9)
@@ -81,11 +80,13 @@ class TestTrainTranslation:
 
     def test_vocabularies_cover_entries(self):
         table = train_translation(pairs_of(("a b", "x y"), ("c", "z")), 4)
+        assert set(table.best) == {s for s, targets in table.probs.items() if targets}
         for source, targets in table.probs.items():
-            assert source in table.source_vocab
-            for target, prob in targets.items():
-                if prob > 0:
-                    assert target in table.target_vocab
+            if targets:
+                assert table.best[source] == min(targets, key=lambda t: (-targets[t], t))
+        # a and b split evenly between x and y; the tie goes to the smaller target
+        assert table.probs["a"]["x"] == table.probs["a"]["y"]
+        assert table.best == {"a": "x", "b": "x", "c": "z"}
 
     def test_log_likelihood_non_decreasing(self):
         table = train_translation(
@@ -124,20 +125,31 @@ class TestTranslateValue:
     def test_empty_value(self):
         assert translate_value(self.table(), V("")).tokens == ()
 
+    @given(st.lists(st.tuples(st.text(max_size=12), st.text(max_size=12)),
+                    min_size=1, max_size=4),
+           st.text())
+    def test_tokens_are_the_tokenized_raw(self, texts, raw):
+        pairs = pairs_of(*texts)
+        assume(any(left.tokens and right.tokens for left, right in pairs))
+        table = train_translation(pairs, 3)
+        for value in [V(raw)] + [left for left, _ in pairs]:
+            out = translate_value(table, value)
+            assert out.tokens == tokenize(out.raw)
+
 
 class TestUpdateTranslation:
     def test_retrain_determinism(self):
         seeds = pairs_of(("a b", "x y"), ("a", "x"))
         first = train_translation(seeds, 10)
-        again = train_translation(seeds, first.em_iterations)
+        again = train_translation(seeds, 10)
         assert again.probs == first.probs
 
     def test_new_pair_unlocks_token(self):
         seeds = pairs_of(("a", "x"))
         table = train_translation(seeds, 10)
-        assert table.best("c") is None
-        updated = train_translation(seeds + pairs_of(("c", "z")), table.em_iterations)
-        assert updated.best("c") == "z"
+        assert table.best.get("c") is None
+        updated = train_translation(seeds + pairs_of(("c", "z")), 10)
+        assert updated.best.get("c") == "z"
 
     def test_duplicates_counted_once(self):
         base = pairs_of(("a b", "x y"), ("a", "x"))
@@ -200,8 +212,8 @@ class TestPlantedDictionary:
     def test_recovery_rate(self):
         mapping, pairs = self.make_corpus()
         table = train_translation(pairs, 12)
-        trained = [s for s in mapping if table.best(s) is not None]
-        hits = sum(table.best(s) == mapping[s] for s in trained)
+        trained = [s for s in mapping if table.best.get(s) is not None]
+        hits = sum(table.best.get(s) == mapping[s] for s in trained)
         assert len(trained) >= 0.9 * len(mapping)
         assert hits / len(mapping) >= 0.95
 
@@ -219,23 +231,3 @@ class TestPlantedDictionary:
             checked += 1
         assert checked > 25
 
-
-class TestTableRoundTrip:
-    def test_export_import(self, tmp_path):
-        table = train_translation(pairs_of(("a b", "x y"), ("a", "x"), ("c", "z")), 9)
-        path = tmp_path / "table.tsv"
-        export_translation_table(table, path)
-        loaded = load_translation_table(path)
-        assert set(loaded.probs) == set(table.probs)
-        for s in table.probs:
-            for t, p in table.probs[s].items():
-                assert loaded.probs[s][t] == pytest.approx(p, rel=1e-9)
-
-    def test_export_format(self, tmp_path):
-        table = train_translation(pairs_of(("a", "x")), 3)
-        path = tmp_path / "table.tsv"
-        export_translation_table(table, path)
-        line = path.read_text(encoding="utf-8").splitlines()[0]
-        source, target, prob = line.split("\t")
-        assert (source, target) == ("a", "x")
-        assert len(prob) >= 9
