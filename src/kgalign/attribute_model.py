@@ -90,8 +90,6 @@ class AttributeUnification:
 
     left_ids: dict[int, int]
     right_ids: dict[int, int]
-    universe_size: int
-    united_count: int
 
 
 def build_attribute_unification(frequent: FrequentAttributes, attr_pairs) -> AttributeUnification:
@@ -99,14 +97,10 @@ def build_attribute_unification(frequent: FrequentAttributes, attr_pairs) -> Att
     right_sorted = sorted(frequent.right)
     left_ids = {a: i for i, a in enumerate(left_sorted)}
     right_ids = {a: len(left_sorted) + i for i, a in enumerate(right_sorted)}
-    united = 0
     for left, right in sorted(attr_pairs):
         if left in left_ids and right in right_ids:
             left_ids[left] = right_ids[right]
-            united += 1
-    return AttributeUnification(left_ids, right_ids,
-                                len(left_sorted) + len(right_sorted),
-                                len(left_sorted) + len(right_sorted) - united)
+    return AttributeUnification(left_ids, right_ids)
 
 
 def build_value_matrix(g: KnowledgeGraph, table, provider: WordVectorProvider,
@@ -195,13 +189,8 @@ def entity_similarity_attr(values_left: ValueEmbeddingMatrix,
             left_agg = (data_block[rows] * mask[rows][:, :, None]).sum(axis=1)
             scores[np.ix_(rows + start, cols)] += left_agg @ right_agg.T
 
-    starts = range(0, n, block_size)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_block, starts))
-    else:
-        for start in starts:
-            fill_block(start)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(fill_block, range(0, n, block_size)))
     return SimilarityMatrix(scores, "attribute-view")
 
 
@@ -242,8 +231,7 @@ def infer_from_attribute_view(s_attr: SimilarityMatrix, store: AlignmentStore,
             sim = float(sims[i, j])
             if sim > proposals.get(key, float("-inf")):
                 proposals[key] = sim
-    scored = [(a, b, sim) for (a, b), sim in proposals.items()
-              if (a, b) not in store.attr_pairs]
+    scored = [(a, b, sim) for (a, b), sim in proposals.items()]
     taken_left, taken_right = store.taken_attributes()
     new_attrs = greedy_one_to_one(scored, taken_left, taken_right)
 

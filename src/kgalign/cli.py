@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .attribute_model import read_similarity_dump, write_similarity_dump, SimilarityMatrix
-from .kg import ParseError, build_initial_seeds, load_graph
+from .kg import ParseError, build_initial_seeds, load_graph, read_lines
 from .metrics import evaluate, split_ills
 from .pipeline import (
     MERGE_MODES,
@@ -74,7 +74,6 @@ class PipelineConfig:
     retrain_translator: bool = True
     rng_seed: int = 0
     workers: int = 1
-    block_size: int = 1024
     # [output]
     out_dir: str = "out"
     eval_ks: tuple[int, ...] = (1, 10)
@@ -87,7 +86,7 @@ class PipelineConfig:
                   "margin", "learning_rate", "epochs", "negatives", "batch_size",
                   "tau_v", "tau_r", "tau_e_attr", "tau_e_rel", "threshold_tuning"),
         "pipeline": ("merge_mode", "max_iterations", "views", "retrain_translator",
-                     "rng_seed", "workers", "block_size"),
+                     "rng_seed", "workers"),
         "output": ("out_dir", "eval_ks", "dump_matrices"),
     }
 
@@ -136,10 +135,16 @@ class PipelineConfig:
                 raise ConfigError(f"missing ILL file: {value}")
         if self.merge_mode not in MERGE_MODES:
             raise ConfigError(f"merge_mode must be one of {MERGE_MODES}")
-        if self.threshold_tuning == "fixed":
-            for view, name in (("attr", "tau_e_attr"), ("rel", "tau_e_rel")):
-                if self.views in ("both", view) and getattr(self, name) is None:
-                    raise ConfigError(f"threshold_tuning is 'fixed' but {name} is unset")
+
+    def check_thresholds(self, valid) -> None:
+        """Each view in use needs a fixed threshold unless it is swept on
+        ``valid``: ``pipeline._resolve_threshold``'s rule, checked up front."""
+        if self.threshold_tuning == "validation-sweep" and valid:
+            return
+        for view, name in (("attr", "tau_e_attr"), ("rel", "tau_e_rel")):
+            if self.views in ("both", view) and getattr(self, name) is None:
+                raise ConfigError(f"{name} is unset, and threshold_tuning is "
+                                  f"{self.threshold_tuning!r} with {len(valid)} validation pairs")
 
     def settings(self) -> PipelineSettings:
         return PipelineSettings(
@@ -156,7 +161,6 @@ class PipelineConfig:
                                   tuning=self.threshold_tuning),
             views=self.views,
             retrain_translator=self.retrain_translator,
-            block_size=self.block_size,
             workers=self.workers,
         )
 
@@ -194,15 +198,13 @@ def _format_value(value) -> str:
 
 def _pair_lines(path):
     """``(lineno, left, right)`` for each nonblank line of a two-column file."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(path, lineno, f"expected 2 tab-separated fields, got {len(parts)}")
-            yield lineno, parts[0], parts[1]
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(path, lineno, f"expected 2 tab-separated fields, got {len(parts)}")
+        yield lineno, parts[0], parts[1]
 
 
 def _read_pairs(path, g, g2) -> list[tuple[str, str]]:
@@ -233,8 +235,6 @@ def cmd_align(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     g = load_graph(cfg.rel_1, cfg.attr_1)
     g2 = load_graph(cfg.rel_2, cfg.attr_2)
     LOG.info("left graph: %d entities, %d relations, %d attributes",
@@ -252,11 +252,14 @@ def cmd_align(args) -> int:
             train, valid, test = split_ills(pairs, rng_seed=cfg.rng_seed)
         except ValueError as exc:
             raise ConfigError(f"{cfg.ill}: {exc}") from exc
+    cfg.check_thresholds(valid)
 
     seeds = build_initial_seeds(g, g2, train)
     valid_ids = _resolve_pairs(g, g2, valid)
     test_ids = _resolve_pairs(g, g2, test)
 
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     result = run_pipeline(g, g2, seeds, settings, merge_mode=cfg.merge_mode,
                           max_iterations=cfg.max_iterations, valid_pairs=valid_ids)
     LOG.info("pipeline %s after %d iteration(s)",

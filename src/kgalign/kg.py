@@ -58,7 +58,7 @@ class ValueText:
 
 
 class ParseError(ValueError):
-    """Malformed line in a triple file; carries the 1-based line number."""
+    """Malformed line in an input file; carries the 1-based line number."""
 
     def __init__(self, path, lineno: int, message: str):
         super().__init__(f"{path}:{lineno}: {message}")
@@ -66,17 +66,35 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
+def read_lines(path):
+    """``(lineno, line)`` per line of a UTF-8 text file, without the line end.
+
+    A line that is not valid UTF-8 raises :class:`ParseError` at that line.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                yield lineno, line.rstrip("\n").rstrip("\r")
+    except UnicodeDecodeError:
+        # Text mode decodes in chunks, so find the line from the raw bytes.
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh.read().splitlines(), 1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(path, lineno, f"not valid UTF-8 ({exc.reason})") from None
+        raise
+
+
 def _read_triple_file(path) -> list[tuple[str, str, str]]:
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(path, lineno, f"expected 3 tab-separated fields, got {len(parts)}")
-            rows.append((parts[0], parts[1], parts[2]))
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(path, lineno, f"expected 3 tab-separated fields, got {len(parts)}")
+        rows.append((parts[0], parts[1], parts[2]))
     return rows
 
 

@@ -95,12 +95,13 @@ class PipelineSettings:
     thresholds: Thresholds = field(default_factory=Thresholds)
     views: str = "both"  # "both", "attr", or "rel"
     retrain_translator: bool = True
-    block_size: int = 1024
     workers: int = 1
 
     def __post_init__(self):
         if self.views not in VIEW_MODES:
             raise ValueError(f"views must be one of {VIEW_MODES}, got {self.views!r}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass
@@ -154,7 +155,7 @@ def tune_thresholds(valid_pairs, scores) -> float:
     """
     if len(valid_pairs) == 0:
         raise ValueError("empty validation set: fixed thresholds required")
-    data = scores.data if isinstance(scores, SimilarityMatrix) else np.asarray(scores)
+    data = np.asarray(scores)
     rows = np.array([m for m, _ in valid_pairs])
     truth = np.array([n for _, n in valid_pairs])
     sub = data[rows]
@@ -179,19 +180,13 @@ def tune_thresholds(valid_pairs, scores) -> float:
     return float(best[2])
 
 
-def merge_standard(attr_list: RankedAlignmentList, infer_remaining):
-    """Sequential co-training merge: the attribute view consumes its
-    entities first, then the relationship view infers over the remainder.
-
-    ``infer_remaining(consumed_left, consumed_right)`` must return the
-    relationship view's ranked list over the reduced candidates.  Returns
-    (merged entries, relationship list) where each entry is
-    (left, right, provenance).
+def merge_standard(attr_list: RankedAlignmentList, rel_list: RankedAlignmentList):
+    """Sequential co-training merge: the attribute view's pairs, then the
+    relationship view's, which must have been inferred without the attribute
+    view's entities.  Each entry is (left, right, provenance).
     """
-    rel_list = infer_remaining(attr_list.left_entities(), attr_list.right_entities())
-    entries = [(m, n, PROV_ATTR) for m, n, _ in attr_list.pairs]
-    entries.extend((m, n, PROV_REL) for m, n, _ in rel_list.pairs)
-    return entries, rel_list
+    return ([(m, n, PROV_ATTR) for m, n, _ in attr_list.pairs]
+            + [(m, n, PROV_REL) for m, n, _ in rel_list.pairs])
 
 
 def _with_provenance(rows, from_attr, from_rel):
@@ -248,19 +243,13 @@ def merge_rank(attr_list: RankedAlignmentList, rel_list: RankedAlignmentList):
 
 
 def _resolve_threshold(fixed: float | None, thresholds: Thresholds, valid_pairs, scores) -> float:
-    if thresholds.tuning == "validation-sweep":
-        if valid_pairs:
-            return tune_thresholds(valid_pairs, scores)
-        if fixed is not None:
-            return fixed
-        raise ValueError("empty validation set: fixed thresholds required")
+    """Swept on the validation pairs when tuning is "validation-sweep" and
+    there are any, else the fixed value."""
+    if thresholds.tuning == "validation-sweep" and valid_pairs:
+        return tune_thresholds(valid_pairs, scores)
     if fixed is None:
-        raise ValueError("threshold tuning is 'fixed' but no value was given")
+        raise ValueError("no validation pairs to sweep and no fixed threshold given")
     return fixed
-
-
-def _empty_attr_inference() -> AttributeInference:
-    return AttributeInference(RankedAlignmentList([]), [], set())
 
 
 def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
@@ -268,10 +257,11 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
                  max_iterations: int = 10, valid_pairs=None) -> PipelineResult:
     """Bootstrap both views until no new alignment is found.
 
-    ``seeds`` is copied, never mutated.  ``valid_pairs`` are (left id,
-    right id) entity pairs used only for threshold sweeps.  Structure
-    training reseeds per iteration from the configured seed so reruns are
-    reproducible end to end.
+    A single-view run merges sequentially whatever ``merge_mode`` says: the
+    view that is off proposes nothing.  ``seeds`` is copied, never mutated.
+    ``valid_pairs`` are (left id, right id) entity pairs used only for
+    threshold sweeps.  Structure training reseeds per iteration from the
+    configured seed so reruns are reproducible end to end.
     """
     if merge_mode not in MERGE_MODES:
         raise ValueError(f"merge_mode must be one of {MERGE_MODES}, got {merge_mode!r}")
@@ -282,6 +272,7 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
     provider = WordVectorProvider(settings.value_dim)
     use_attr = settings.views in ("both", "attr")
     use_rel = settings.views in ("both", "rel")
+    mode = merge_mode if use_attr and use_rel else "M1"
 
     table: TranslationTable | None = None
     values_left: ValueEmbeddingMatrix | None = None
@@ -295,7 +286,7 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
     for iteration in range(1, max_iterations + 1):
         timings: dict[str, float] = {}
         used: dict[str, float] = {}
-        attr_inf = _empty_attr_inference()
+        attr_inf = AttributeInference(RankedAlignmentList([]), [], set())
         rel_list = RankedAlignmentList([])
         new_rel_pairs: list = []
         transe_summary: dict = {}
@@ -329,7 +320,7 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
             slots_left = build_attr_slot_matrix(values_left, unification, "left")
             slots_right = build_attr_slot_matrix(values_right, unification, "right")
             s_attr = entity_similarity_attr(values_left, values_right, slots_left, slots_right,
-                                            settings.block_size, settings.workers)
+                                            workers=settings.workers)
             timings["attribute_scores"] = time.perf_counter() - tick
 
             tick = time.perf_counter()
@@ -341,7 +332,6 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
                                                  g, g2, values_left, values_right)
             timings["attribute_inference"] = time.perf_counter() - tick
 
-        tau_rel = None
         if use_rel:
             tick = time.perf_counter()
             swapped = swap_triplets(g, g2, store)
@@ -357,26 +347,19 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
             tau_rel = _resolve_threshold(settings.thresholds.tau_e_rel, settings.thresholds,
                                          valid_pairs, s_rel.data)
             used["tau_e_rel"] = tau_rel
+            exclude = ((attr_inf.entities.left_entities(), attr_inf.entities.right_entities())
+                       if mode == "M1" else ((), ()))
+            rel_list = infer_entity_pairs(s_rel.data, candidates, tau_rel, *exclude)
             new_rel_pairs = infer_relation_pairs(rel_scores, settings.thresholds.tau_r, store)
             timings["relationship_inference"] = time.perf_counter() - tick
 
         tick = time.perf_counter()
-        if not use_rel:
-            entries = [(m, n, PROV_ATTR) for m, n, _ in attr_inf.entities.pairs]
-        elif not use_attr:
-            rel_list = infer_entity_pairs(s_rel.data, candidates, tau_rel)
-            entries = [(m, n, PROV_REL) for m, n, _ in rel_list.pairs]
-        elif merge_mode == "M1":
-            def infer_remaining(consumed_left, consumed_right):
-                return infer_entity_pairs(s_rel.data, candidates, tau_rel,
-                                          consumed_left, consumed_right)
-            entries, rel_list = merge_standard(attr_inf.entities, infer_remaining)
+        if mode == "M1":
+            entries = merge_standard(attr_inf.entities, rel_list)
+        elif mode == "M2":
+            entries = merge_score(attr_inf.entities, rel_list, s_attr.data, s_rel.data)
         else:
-            rel_list = infer_entity_pairs(s_rel.data, candidates, tau_rel)
-            if merge_mode == "M2":
-                entries = merge_score(attr_inf.entities, rel_list, s_attr.data, s_rel.data)
-            else:
-                entries = merge_rank(attr_inf.entities, rel_list)
+            entries = merge_rank(attr_inf.entities, rel_list)
         timings["merge"] = time.perf_counter() - tick
 
         new_ent = 0

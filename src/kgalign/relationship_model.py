@@ -281,9 +281,7 @@ def infer_relation_pairs(rel_scores: np.ndarray, tau_r: float,
                          store: AlignmentStore) -> list[tuple[int, int, float]]:
     """Relation pairs above the threshold, one-to-one against the store."""
     rows, cols = np.nonzero(rel_scores > tau_r)
-    scored = [(int(a), int(b), float(rel_scores[a, b]))
-              for a, b in zip(rows, cols)
-              if (int(a), int(b)) not in store.rel_pairs]
+    scored = [(int(a), int(b), float(rel_scores[a, b])) for a, b in zip(rows, cols)]
     taken_left, taken_right = store.taken_relations()
     return greedy_one_to_one(scored, taken_left, taken_right)
 

@@ -15,7 +15,13 @@ from kgalign.attribute_model import (
     ValueEmbeddingMatrix,
     entity_similarity_attr,
 )
-from kgalign.kg import RankedAlignmentList, ValueText, build_initial_seeds
+from kgalign.kg import (
+    CandidateSet,
+    RankedAlignmentList,
+    ValueText,
+    build_initial_seeds,
+    infer_entity_pairs,
+)
 from kgalign.metrics import evaluate
 from kgalign.pipeline import (
     PipelineSettings,
@@ -262,10 +268,10 @@ def test_merge_strategy_unit_suite():
     ok = True
     # sequential: the attribute view consumes entity 0 before the
     # relationship view may propose (0, 1)
-    entries, _ = merge_standard(
-        RankedAlignmentList([(0, 0, 0.9)]),
-        lambda cl, cr: RankedAlignmentList(
-            [p for p in [(0, 1, 0.95)] if p[0] not in cl and p[1] not in cr]))
+    attr = RankedAlignmentList([(0, 0, 0.9)])
+    rel = infer_entity_pairs(np.array([[0.0, 0.95]]), CandidateSet({0}, {0, 1}), 0.5,
+                             attr.left_entities(), attr.right_entities())
+    entries = merge_standard(attr, rel)
     ok = ok and [(m, n) for m, n, _ in entries] == [(0, 0)]
 
     # score sum: 0.9 + 0.1 = 1.0 beats 0.2 + 0.7 = 0.9

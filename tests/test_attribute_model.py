@@ -48,12 +48,12 @@ class TestUnification:
     def test_no_pairs_all_distinct(self):
         u = build_attribute_unification(self.freq(), set())
         assert len(set(u.left_ids.values()) & set(u.right_ids.values())) == 0
-        assert u.united_count == 5
+        assert len(set(u.left_ids.values()) | set(u.right_ids.values())) == 5
 
     def test_pair_shares_identification(self):
         u = build_attribute_unification(self.freq(), {(1, 0)})
         assert u.left_ids[1] == u.right_ids[0]
-        assert u.united_count == 4
+        assert len(set(u.left_ids.values()) | set(u.right_ids.values())) == 4
 
     def test_adding_pair_changes_only_affected_slots(self):
         rows = [("e0", "a0", "x"), ("e0", "a1", "y"), ("e1", "a1", "z")]

@@ -108,6 +108,40 @@ class TestAlign:
         assert "tau_e_rel is unset" in caplog.text
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("views", ["attr", "rel"])
+    def test_sweep_without_validation_pairs_exit_two(self, dataset, tmp_path, caplog,
+                                                     monkeypatch, views):
+        def fail(*args, **kwargs):
+            raise AssertionError("run_pipeline called")
+
+        monkeypatch.setattr(cli, "run_pipeline", fail)
+        (tmp_path / "ill_valid").write_bytes(b"")
+        cfg = config_for(dataset, tmp_path / "out", ill_valid=str(tmp_path / "ill_valid"),
+                         threshold_tuning="validation-sweep", views=views)
+        cfg.to_file(tmp_path / "c.ini")
+        assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
+        assert f"tau_e_{views} is unset" in caplog.text
+        assert "0 validation pairs" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_threads_exit_two(self, dataset, tmp_path, caplog):
+        cfg = config_for(dataset, tmp_path / "out")
+        cfg.to_file(tmp_path / "c.ini")
+        assert cli.main(["align", "--config", str(tmp_path / "c.ini"), "--threads", "0"]) == 2
+        assert "workers must be >= 1" in caplog.text
+
+    @pytest.mark.parametrize("name, field", [("attr_triples_1", "attr_1"),
+                                             ("ill_train", "ill_train")])
+    def test_non_utf8_line_exit_two_with_location(self, dataset, tmp_path, caplog, name,
+                                                  field):
+        bad = tmp_path / name
+        data = (dataset / name).read_bytes()
+        bad.write_bytes(data + b"\xff\xfe")
+        cfg = config_for(dataset, tmp_path / "out", **{field: str(bad)})
+        cfg.to_file(tmp_path / "c.ini")
+        assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
+        assert f"{bad}:{len(data.splitlines()) + 1}: not valid UTF-8" in caplog.text
+
     def test_runtime_error_in_pipeline_exit_one(self, dataset, tmp_path, caplog, monkeypatch):
         def fail(*args, **kwargs):
             raise ValueError("boom")

@@ -108,6 +108,16 @@ class TestLoadGraph:
             load_graph(rel, attr)
         assert err.value.lineno == 2
 
+    def test_non_utf8_line_reports_number_past_the_decode_chunk(self, tmp_path):
+        # Text mode decodes far ahead of the line being read, and "\r" alone
+        # ends a line; the reported line must still be the bad one.
+        rel = tmp_path / "rel"
+        rel.write_bytes(b"e1\tr1\tZ\xc3\xbcrich\r" * 3000 + b"e1\tr1\t\xff\xfe\n" + b"e1\tr1\te2\n")
+        with pytest.raises(ParseError) as err:
+            load_graph(rel, rel)
+        assert err.value.lineno == 3001
+        assert "not valid UTF-8" in str(err.value)
+
     def test_unreadable_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_graph(tmp_path / "missing", tmp_path / "missing2")

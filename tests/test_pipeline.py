@@ -10,9 +10,11 @@ from hypothesis import example, given, strategies as st
 from kgalign.kg import (
     PROV_ATTR,
     PROV_REL,
+    CandidateSet,
     KnowledgeGraph,
     RankedAlignmentList,
     build_initial_seeds,
+    infer_entity_pairs,
 )
 from kgalign import pipeline
 from kgalign.pipeline import (
@@ -36,23 +38,21 @@ def ranked(*pairs):
 class TestMergeStandard:
     def test_attribute_view_consumes_first(self):
         attr = ranked((0, 0, 0.9))
-
-        def infer_remaining(consumed_left, consumed_right):
-            # the relationship view would have proposed (0, 1), but 0 is gone
-            proposals = [(0, 1, 0.95), (2, 2, 0.8)]
-            return ranked(*[p for p in proposals
-                            if p[0] not in consumed_left and p[1] not in consumed_right])
-
-        entries, rel_list = merge_standard(attr, infer_remaining)
+        # the relationship view would have proposed (0, 1), but 0 is gone
+        scores = np.zeros((3, 3))
+        scores[0, 1], scores[2, 2] = 0.95, 0.8
+        rel_list = infer_entity_pairs(scores, CandidateSet(range(3), range(3)), 0.5,
+                                      attr.left_entities(), attr.right_entities())
+        entries = merge_standard(attr, rel_list)
         assert [(m, n) for m, n, _ in entries] == [(0, 0), (2, 2)]
         assert len(rel_list) == 1
 
     def test_empty_attribute_view(self):
-        entries, _ = merge_standard(ranked(), lambda cl, cr: ranked((1, 1, 0.7)))
+        entries = merge_standard(ranked(), ranked((1, 1, 0.7)))
         assert entries == [(1, 1, PROV_REL)]
 
     def test_disjoint_union(self):
-        entries, _ = merge_standard(ranked((0, 0, 0.9)), lambda cl, cr: ranked((1, 1, 0.8)))
+        entries = merge_standard(ranked((0, 0, 0.9)), ranked((1, 1, 0.8)))
         assert [(m, n) for m, n, _ in entries] == [(0, 0), (1, 1)]
         assert entries[0][2] == PROV_ATTR
         assert entries[1][2] == PROV_REL
@@ -142,7 +142,7 @@ class TestMergeAgreementProperty:
         attr = ranked((0, 0, 0.9), (1, 1, 0.7))
         rel = ranked((2, 2, 0.95), (3, 3, 0.6))
         s = np.ones((4, 4))
-        from_standard, _ = merge_standard(attr, lambda cl, cr: rel)
+        from_standard = merge_standard(attr, rel)
         from_score = merge_score(attr, rel, s, s)
         from_rank = merge_rank(attr, rel)
         expected = {(0, 0), (1, 1), (2, 2), (3, 3)}
@@ -502,3 +502,47 @@ class TestRunPipeline:
         write_alignment_dump(result.store, g, g2, tmp_path / "alignments.tsv")
         digest = hashlib.sha256((tmp_path / "alignments.tsv").read_bytes()).hexdigest()
         assert digest == "3891c74fcf4f1b349edb4c35dd4c928f5b76d28184720fe37f0c60af9cd7a227"
+
+
+@pytest.fixture(scope="module")
+def joint_fixture():
+    res = generate_synth(SynthSpec(n_entities=100, drop_prob=0.5, seed_fraction=0.2,
+                                   rng_seed=7))
+    g, g2 = res.left, res.right
+    valid = [(g.entity_id(a), g2.entity_id(b)) for a, b in res.ill_valid]
+    return g, g2, build_initial_seeds(g, g2, res.ill_train), valid
+
+
+def joint_run(fixture, views, merge_mode, path):
+    g, g2, seeds, valid = fixture
+    settings = PipelineSettings(m_slots=10, min_count=5, value_dim=50,
+                                transe=TrainConfig(dim=24, epochs=10, rng_seed=3),
+                                thresholds=Thresholds(tuning="validation-sweep"), views=views)
+    result = run_pipeline(g, g2, seeds, settings, merge_mode=merge_mode, max_iterations=3,
+                          valid_pairs=valid)
+    write_alignment_dump(result.store, g, g2, path)
+    return result, hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestMergeDigests:
+    # Pins every merge strategy bit for bit on a two-view run, and that a
+    # single-view run does not depend on the merge mode.
+    @pytest.mark.parametrize("merge_mode, merged, digest", [
+        ("M1", [52, 0, 2], "3a8fe927168f2161a4a6945c00fcbe64108fceb748ab2cded579977c33d32e34"),
+        ("M2", [50, 0, 0], "d6bf14afa2334c72c07febf9cabe4e52c1b09b11a62c566f240e66a8f144887d"),
+        ("M3", [50, 6, 0], "84f8e7444bd9d90adce1afab7097c6a003bdfdbe2a7146ac962f3d275d90697b"),
+    ], ids=["M1", "M2", "M3"])
+    def test_joint_alignment_digest_is_frozen(self, joint_fixture, tmp_path, merge_mode,
+                                              merged, digest):
+        result, got = joint_run(joint_fixture, "both", merge_mode, tmp_path / "a.tsv")
+        assert [r.counts["merged"] for r in result.records] == merged
+        assert got == digest
+
+    @pytest.mark.parametrize("views, digest", [
+        ("attr", "915994df9ce6b2253c4ac7d3f1c7974fe1460e5fd2e4db46905b33d8a6195f93"),
+        ("rel", "c103a545436b074f7bc1fc92d61e555bc2b2dc449771768572b4a4795a5f908b"),
+    ], ids=["attr", "rel"])
+    def test_single_view_ignores_merge_mode(self, joint_fixture, tmp_path, views, digest):
+        digests = {joint_run(joint_fixture, views, mode, tmp_path / f"{mode}.tsv")[1]
+                   for mode in ("M1", "M2", "M3")}
+        assert digests == {digest}
