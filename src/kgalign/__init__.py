@@ -22,7 +22,6 @@ from .kg import (
 from .translator import (
     TranslationTable,
     WordVectorProvider,
-    embed_value,
     train_translation,
     translate_value,
 )

@@ -29,7 +29,7 @@ from .kg import (
     infer_entity_pairs,
     top_m_attr_slots,
 )
-from .translator import WordVectorProvider, embed_value, translate_value
+from .translator import WordVectorProvider, embed_values, translate_value
 
 
 @dataclass
@@ -111,17 +111,19 @@ def build_value_matrix(g: KnowledgeGraph, table, provider: WordVectorProvider,
     without a trained translator).
     """
     n = g.num_entities
+    slots = [top_m_attr_slots(g, entity, m_slots, frequent) for entity in range(n)]
+    slot_count = np.array([len(chosen) for chosen in slots], dtype=np.int64)
+    values = [value for chosen in slots for _, value in chosen]
+    if table is not None:
+        values = [translate_value(table, value) for value in values]
+    tokens = [value.tokens for value in values]
+    # Equal token tuples embed equally, so each distinct one is embedded once.
+    distinct = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
+    embedded = embed_values(provider, list(distinct))
+    entity = np.repeat(np.arange(n), slot_count)
+    position = [i for chosen in slots for i in range(len(chosen))]
     data = np.zeros((n, m_slots, provider.dimension))
-    slot_count = np.zeros(n, dtype=np.int64)
-    slots: list[list[tuple[int, ValueText]]] = []
-    for entity in range(n):
-        chosen = top_m_attr_slots(g, entity, m_slots, frequent)
-        slots.append(chosen)
-        slot_count[entity] = len(chosen)
-        for i, (_, value) in enumerate(chosen):
-            if table is not None:
-                value = translate_value(table, value)
-            data[entity, i] = embed_value(provider, value)
+    data[entity, position] = embedded[[distinct[t] for t in tokens]]
     return ValueEmbeddingMatrix(data, slot_count, slots)
 
 

@@ -97,12 +97,18 @@ class PipelineConfig:
             raise ConfigError(f"cannot read config file {path}")
         cfg = cls()
         types = {f.name: f.type for f in dataclasses.fields(cls)}
-        for section, names in cls._SECTIONS.items():
-            if not parser.has_section(section):
-                continue
-            for name in names:
-                if not parser.has_option(section, name):
-                    continue
+        if parser.defaults():
+            raise ConfigError(f"{path}: unknown section [{parser.default_section}]")
+        for section in parser.sections():
+            names = cls._SECTIONS.get(section)
+            if names is None:
+                raise ConfigError(f"{path}: unknown section [{section}]")
+            for name in parser.options(section):
+                if name == "block_size":
+                    raise ConfigError(f"{path}: [{section}] block_size was removed "
+                                      "(attribute scoring uses fixed row blocks); delete it")
+                if name not in names:
+                    raise ConfigError(f"{path}: unknown key {name!r} in [{section}]")
                 raw = parser.get(section, name)
                 try:
                     setattr(cfg, name, _parse_value(types[name], raw))

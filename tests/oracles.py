@@ -1,10 +1,13 @@
 """Reference implementations that the fast paths are checked against; slow by
 design and used only by the tests."""
 
+import math
+
 import numpy as np
 
 from kgalign.attribute_model import SimilarityMatrix
 from kgalign.kg import _CJK_RANGES
+from kgalign.translator import TranslationTable, _dedup_pairs
 
 
 def _is_cjk(ch):
@@ -64,3 +67,56 @@ def entity_similarity_attr_dense(values_left, values_right, slots_left, slots_ri
     ids_r = slots_right.ids[None, :, None, :]
     mask = (ids_l == ids_r) & (ids_l != -1)
     return SimilarityMatrix((sims * mask).sum(axis=(2, 3)), "attribute-view")
+
+
+def train_translation_loop(pairs, iterations):
+    """Dict-based expectation maximization over the deduplicated corpus.
+
+    Every sum is an explicit ``+=`` loop from 0.0 in corpus order, so the
+    result does not depend on how the Python version's ``sum`` adds floats.
+    """
+    corpus = _dedup_pairs(pairs)
+    cooc = {}
+    for src_tokens, tgt_tokens in corpus:
+        for s in src_tokens:
+            cooc.setdefault(s, set()).update(tgt_tokens)
+    probs = {s: {t: 1.0 / len(ts) for t in sorted(ts)} for s, ts in cooc.items()}
+
+    log_likelihoods = []
+    for _ in range(iterations):
+        counts = {}
+        totals = {}
+        ll = 0.0
+        for src_tokens, tgt_tokens in corpus:
+            for t in tgt_tokens:
+                denom = 0.0
+                for s in src_tokens:
+                    denom += probs[s].get(t, 0.0)
+                ll += math.log(denom) - math.log(len(src_tokens))
+                for s in src_tokens:
+                    p = probs[s].get(t, 0.0)
+                    if p <= 0.0:
+                        continue
+                    c = p / denom
+                    counts[(s, t)] = counts.get((s, t), 0.0) + c
+                    totals[s] = totals.get(s, 0.0) + c
+        log_likelihoods.append(ll)
+        fresh = {s: {} for s in probs}
+        for (s, t), c in counts.items():
+            fresh[s][t] = c / totals[s]
+        probs = fresh
+
+    best = {s: min(ts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+            for s, ts in probs.items() if ts}
+    return TranslationTable(probs, best, log_likelihoods)
+
+
+def embed_value(provider, value):
+    """Mean of per-token unit vectors, L2-normalized; zero for empty values."""
+    if not value.tokens:
+        return np.zeros(provider.dimension)
+    mean = np.mean([provider.vector(tok) for tok in value.tokens], axis=0)
+    norm = float(np.linalg.norm(mean))
+    if norm < 1e-12:
+        return np.zeros(provider.dimension)
+    return mean / norm

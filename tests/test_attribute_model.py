@@ -22,8 +22,8 @@ from kgalign.kg import (
     KnowledgeGraph,
     top_m_attr_slots,
 )
-from kgalign.translator import WordVectorProvider, embed_value
-from oracles import brute_force_scores, entity_similarity_attr_dense
+from kgalign.translator import WordVectorProvider
+from oracles import brute_force_scores, embed_value, entity_similarity_attr_dense
 
 
 def random_fixture(rng, n, n2, m, dim, n_ids=4):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -287,3 +288,17 @@ class TestConfig:
         cfg = cli.PipelineConfig(tau_e_attr=None)
         cfg.to_file(tmp_path / "c.ini")
         assert cli.PipelineConfig.from_file(tmp_path / "c.ini").tau_e_attr is None
+
+    @pytest.mark.parametrize("text, message", [
+        ("[model]\ntau_vv = 0.1\n", "unknown key 'tau_vv' in [model]"),
+        ("[modle]\ntau_v = 0.1\n", "unknown section [modle]"),
+        ("[DEFAULT]\ntau_v = 0.1\n", "unknown section [DEFAULT]"),
+        ("[pipeline]\nblock_size = 64\n", "[pipeline] block_size was removed"),
+    ], ids=["misspelled_key", "unknown_section", "default_section", "removed_block_size"])
+    def test_unknown_or_removed_key_exit_two(self, tmp_path, caplog, text, message):
+        path = tmp_path / "c.ini"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(cli.ConfigError, match=re.escape(message)):
+            cli.PipelineConfig.from_file(path)
+        assert cli.main(["align", "--config", str(path)]) == 2
+        assert f"{path}: {message}" in caplog.text

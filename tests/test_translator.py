@@ -1,16 +1,21 @@
 """Translation table training, value translation, and hash embeddings."""
 
+import hashlib
+import random
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kgalign.kg import ValueText, tokenize
 from kgalign.translator import (
     WordVectorProvider,
-    embed_value,
+    embed_values,
     train_translation,
     translate_value,
 )
+from oracles import embed_value, train_translation_loop
 
 
 def V(raw):
@@ -19,30 +24,6 @@ def V(raw):
 
 def pairs_of(*texts):
     return [(V(a), V(b)) for a, b in texts]
-
-
-def reference_em(corpus, iterations):
-    """Independent dict-based expectation maximization used as an oracle."""
-    cooc = {}
-    for s_toks, t_toks in corpus:
-        for s in s_toks:
-            cooc.setdefault(s, set()).update(t_toks)
-    probs = {s: {t: 1.0 / len(ts) for t in sorted(ts)} for s, ts in cooc.items()}
-    for _ in range(iterations):
-        counts, totals = {}, {}
-        for s_toks, t_toks in corpus:
-            for t in t_toks:
-                denom = sum(probs[s].get(t, 0.0) for s in s_toks)
-                for s in s_toks:
-                    p = probs[s].get(t, 0.0)
-                    if p <= 0:
-                        continue
-                    counts[(s, t)] = counts.get((s, t), 0.0) + p / denom
-                    totals[s] = totals.get(s, 0.0) + p / denom
-        probs = {s: {} for s in probs}
-        for (s, t), c in counts.items():
-            probs[s][t] = c / totals[s]
-    return probs
 
 
 class TestTrainTranslation:
@@ -63,7 +44,7 @@ class TestTrainTranslation:
     def test_matches_reference_em(self):
         texts = [("a b", "x y"), ("a", "x"), ("b c", "y z"), ("c c", "z z")]
         table = train_translation(pairs_of(*texts), 7)
-        oracle = reference_em([(V(a).tokens, V(b).tokens) for a, b in texts], 7)
+        oracle = train_translation_loop(pairs_of(*texts), 7).probs
         for s, targets in oracle.items():
             for t, p in targets.items():
                 assert table.probs[s][t] == pytest.approx(p, abs=1e-12)
@@ -106,6 +87,70 @@ class TestTrainTranslation:
     def test_iterations_validated(self):
         with pytest.raises(ValueError):
             train_translation(pairs_of(("a", "x")), 0)
+
+
+def frozen_corpus():
+    """300 pairs over a planted 40-token dictionary with dropped and noise
+    targets; up to six source tokens, so denominators have many terms."""
+    rng = random.Random(11)
+    mapping = {f"s{i}": f"t{(7 * i) % 40}" for i in range(40)}
+    sources = sorted(mapping)
+    pairs = []
+    for _ in range(300):
+        left = [rng.choice(sources) for _ in range(rng.randint(1, 6))]
+        right = [mapping[s] for s in left if rng.random() < 0.8]
+        right += [f"t{rng.randrange(40)}" for _ in range(rng.randint(0, 2))]
+        rng.shuffle(right)
+        pairs.append((V(" ".join(left)), V(" ".join(right))))
+    return pairs
+
+
+def table_digest(table):
+    h = hashlib.sha256()
+    for s in sorted(table.probs):
+        for t in sorted(table.probs[s]):
+            h.update(f"{s} {t} {table.probs[s][t].hex()}\n".encode())
+    for s in sorted(table.best):
+        h.update(f"{s} {table.best[s]}\n".encode())
+    for ll in table.log_likelihoods:
+        h.update(f"{ll.hex()}\n".encode())
+    return h.hexdigest()
+
+
+tokens_st = st.lists(st.sampled_from("abcdefg"), max_size=6).map(tuple)
+
+
+@st.composite
+def em_corpora(draw):
+    """Value pairs with duplicate pairs, repeated and missing tokens."""
+    distinct = draw(st.lists(st.tuples(tokens_st, tokens_st.map(
+        lambda toks: tuple(t.upper() for t in toks))), min_size=1, max_size=8))
+    picks = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=12))
+    return [(ValueText(" ".join(a), a), ValueText(" ".join(b), b)) for a, b in picks]
+
+
+class TestFastEMMatchesLoop:
+    @given(em_corpora(), st.integers(1, 6))
+    def test_table_equals_dict_loop(self, pairs, iterations):
+        assume(any(left.tokens and right.tokens for left, right in pairs))
+        fast = train_translation(pairs, iterations)
+        slow = train_translation_loop(pairs, iterations)
+        assert fast.probs == slow.probs
+        assert fast.best == slow.best
+        assert fast.log_likelihoods == slow.log_likelihoods
+
+    def test_frozen_corpus_equals_dict_loop(self):
+        pairs = frozen_corpus()
+        fast = train_translation(pairs, 10)
+        slow = train_translation_loop(pairs, 10)
+        assert (fast.probs, fast.best, fast.log_likelihoods) == \
+            (slow.probs, slow.best, slow.log_likelihoods)
+
+    def test_table_digest_is_frozen(self):
+        # Recorded with the dict loop on Python 3.11, whose ``sum`` adds
+        # floats left to right; a compensated sum gives another table.
+        assert table_digest(train_translation(frozen_corpus(), 10)) == \
+            "70f9758c8f40f049e3d60af42b42049bacea9f13541484405a4eb5354fe6795a"
 
 
 class TestTranslateValue:
@@ -192,6 +237,40 @@ class TestEmbedValue:
     def test_empty_value_is_zero(self):
         provider = WordVectorProvider(32)
         np.testing.assert_array_equal(embed_value(provider, V("")), np.zeros(32))
+
+
+class TestEmbedValues:
+    # More than 8 tokens crosses numpy's pairwise-summation block size.
+    @given(st.lists(st.lists(st.sampled_from("abcdefghij"), max_size=12).map(tuple),
+                    max_size=10),
+           st.integers(1, 40))
+    def test_rows_equal_per_value_oracle(self, values, dimension):
+        provider = WordVectorProvider(dimension)
+        fast = embed_values(provider, values)
+        assert fast.shape == (len(values), dimension)
+        for row, tokens in zip(fast, values):
+            np.testing.assert_array_equal(
+                row, embed_value(provider, ValueText(" ".join(tokens), tokens)))
+
+    def test_cancelling_tokens_embed_to_zero(self):
+        class Opposite(WordVectorProvider):
+            def vector(self, token):
+                return np.array([1.0 if token == "up" else -1.0, 0.0, 0.0, 0.0])
+
+        provider = Opposite(4)
+        values = [("up", "down"), (), ("up",)]
+        fast = embed_values(provider, values)
+        np.testing.assert_array_equal(fast, [[0.0] * 4, [0.0] * 4, [1.0, 0.0, 0.0, 0.0]])
+        for row, tokens in zip(fast, values):
+            np.testing.assert_array_equal(
+                row, embed_value(provider, ValueText(" ".join(tokens), tokens)))
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=70),
+                      elements=st.floats(-1e6, 1e6)))
+    def test_row_norm_is_one_dimensional_norm(self, rows):
+        norms = np.sqrt(np.vecdot(rows, rows))
+        for row, norm in zip(rows, norms):
+            assert norm == np.linalg.norm(row)
 
 
 class TestPlantedDictionary:
