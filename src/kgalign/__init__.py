@@ -23,7 +23,7 @@ from .translator import (
     TranslationTable,
     WordVectorProvider,
     train_translation,
-    translate_value,
+    translate_tokens,
 )
 from .attribute_model import (
     AttributeSlotMatrix,

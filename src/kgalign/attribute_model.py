@@ -29,7 +29,7 @@ from .kg import (
     infer_entity_pairs,
     top_m_attr_slots,
 )
-from .translator import WordVectorProvider, embed_values, translate_value
+from .translator import WordVectorProvider, embed_values, translate_tokens
 
 
 @dataclass
@@ -113,10 +113,9 @@ def build_value_matrix(g: KnowledgeGraph, table, provider: WordVectorProvider,
     n = g.num_entities
     slots = [top_m_attr_slots(g, entity, m_slots, frequent) for entity in range(n)]
     slot_count = np.array([len(chosen) for chosen in slots], dtype=np.int64)
-    values = [value for chosen in slots for _, value in chosen]
+    tokens = [value.tokens for chosen in slots for _, value in chosen]
     if table is not None:
-        values = [translate_value(table, value) for value in values]
-    tokens = [value.tokens for value in values]
+        tokens = [translate_tokens(table, t) for t in tokens]
     # Equal token tuples embed equally, so each distinct one is embedded once.
     distinct = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
     embedded = embed_values(provider, list(distinct))

@@ -14,7 +14,7 @@ import dataclasses
 import json
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .attribute_model import read_similarity_dump, write_similarity_dump, SimilarityMatrix
@@ -22,8 +22,10 @@ from .kg import ParseError, build_initial_seeds, load_graph, read_lines
 from .metrics import evaluate, split_ills
 from .pipeline import (
     MERGE_MODES,
+    VIEW_MODES,
     PipelineSettings,
     Thresholds,
+    check_thresholds,
     run_pipeline,
     write_alignment_dump,
     write_iteration_log,
@@ -38,76 +40,68 @@ class ConfigError(ValueError):
     pass
 
 
+def _key(section: str, default):
+    """A config field read from ``[section]`` of the INI file."""
+    return field(default=default, metadata={"section": section})
+
+
 @dataclass
 class PipelineConfig:
     """Everything an ``align`` run needs, file-backed and overridable."""
 
-    # [data]
-    rel_1: str = ""
-    attr_1: str = ""
-    rel_2: str = ""
-    attr_2: str = ""
-    ill: str = ""          # unsplit links; split 4:1:10 with rng_seed
-    ill_train: str = ""    # pre-split alternative to ill
-    ill_valid: str = ""
-    ill_test: str = ""
-    # [model]
-    value_dim: int = 100
-    m_slots: int = 20
-    min_count: int = 50
-    em_iterations: int = 10
-    dim: int = 75
-    margin: float = 1.0
-    learning_rate: float = 0.01
-    epochs: int = 100
-    negatives: int = 5
-    batch_size: int = 256
-    tau_v: float = 0.8
-    tau_r: float = 0.9
-    tau_e_attr: float | None = None
-    tau_e_rel: float | None = None
-    threshold_tuning: str = "validation-sweep"
-    # [pipeline]
-    merge_mode: str = "M3"
-    max_iterations: int = 10
-    views: str = "both"
-    retrain_translator: bool = True
-    rng_seed: int = 0
-    workers: int = 1
-    # [output]
-    out_dir: str = "out"
-    eval_ks: tuple[int, ...] = (1, 10)
-    dump_matrices: bool = False
-
-    _SECTIONS = {
-        "data": ("rel_1", "attr_1", "rel_2", "attr_2", "ill",
-                 "ill_train", "ill_valid", "ill_test"),
-        "model": ("value_dim", "m_slots", "min_count", "em_iterations", "dim",
-                  "margin", "learning_rate", "epochs", "negatives", "batch_size",
-                  "tau_v", "tau_r", "tau_e_attr", "tau_e_rel", "threshold_tuning"),
-        "pipeline": ("merge_mode", "max_iterations", "views", "retrain_translator",
-                     "rng_seed", "workers"),
-        "output": ("out_dir", "eval_ks", "dump_matrices"),
-    }
+    rel_1: str = _key("data", "")
+    attr_1: str = _key("data", "")
+    rel_2: str = _key("data", "")
+    attr_2: str = _key("data", "")
+    ill: str = _key("data", "")          # unsplit links; split 4:1:10 with rng_seed
+    ill_train: str = _key("data", "")    # pre-split alternative to ill
+    ill_valid: str = _key("data", "")
+    ill_test: str = _key("data", "")
+    value_dim: int = _key("model", 100)
+    m_slots: int = _key("model", 20)
+    min_count: int = _key("model", 50)
+    em_iterations: int = _key("model", 10)
+    dim: int = _key("model", 75)
+    margin: float = _key("model", 1.0)
+    learning_rate: float = _key("model", 0.01)
+    epochs: int = _key("model", 100)
+    negatives: int = _key("model", 5)
+    batch_size: int = _key("model", 256)
+    tau_v: float = _key("model", 0.8)
+    tau_r: float = _key("model", 0.9)
+    tau_e_attr: float | None = _key("model", None)
+    tau_e_rel: float | None = _key("model", None)
+    threshold_tuning: str = _key("model", "validation-sweep")
+    merge_mode: str = _key("pipeline", "M3")
+    max_iterations: int = _key("pipeline", 10)
+    views: str = _key("pipeline", "both")
+    retrain_translator: bool = _key("pipeline", True)
+    rng_seed: int = _key("pipeline", 0)
+    workers: int = _key("pipeline", 1)
+    out_dir: str = _key("output", "out")
+    eval_ks: tuple[int, ...] = _key("output", (1, 10))
+    dump_matrices: bool = _key("output", False)
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
         parser = configparser.ConfigParser()
         if not parser.read(path, encoding="utf-8"):
             raise ConfigError(f"cannot read config file {path}")
-        cfg = cls()
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
         if parser.defaults():
             raise ConfigError(f"{path}: unknown section [{parser.default_section}]")
+        sections: dict[str, dict[str, str]] = {}
+        for f in dataclasses.fields(cls):
+            sections.setdefault(f.metadata["section"], {})[f.name] = f.type
+        cfg = cls()
         for section in parser.sections():
-            names = cls._SECTIONS.get(section)
-            if names is None:
+            types = sections.get(section)
+            if types is None:
                 raise ConfigError(f"{path}: unknown section [{section}]")
             for name in parser.options(section):
                 if name == "block_size":
                     raise ConfigError(f"{path}: [{section}] block_size was removed "
                                       "(attribute scoring uses fixed row blocks); delete it")
-                if name not in names:
+                if name not in types:
                     raise ConfigError(f"{path}: unknown key {name!r} in [{section}]")
                 raw = parser.get(section, name)
                 try:
@@ -115,15 +109,6 @@ class PipelineConfig:
                 except ValueError as exc:
                     raise ConfigError(f"{path}: cannot parse {name}={raw!r}") from exc
         return cfg
-
-    def to_file(self, path) -> None:
-        parser = configparser.ConfigParser()
-        for section, names in self._SECTIONS.items():
-            parser.add_section(section)
-            for name in names:
-                parser.set(section, name, _format_value(getattr(self, name)))
-        with open(path, "w", encoding="utf-8") as fh:
-            parser.write(fh)
 
     def validate(self) -> None:
         for name in ("rel_1", "attr_1", "rel_2", "attr_2"):
@@ -141,16 +126,8 @@ class PipelineConfig:
                 raise ConfigError(f"missing ILL file: {value}")
         if self.merge_mode not in MERGE_MODES:
             raise ConfigError(f"merge_mode must be one of {MERGE_MODES}")
-
-    def check_thresholds(self, valid) -> None:
-        """Each view in use needs a fixed threshold unless it is swept on
-        ``valid``: ``pipeline._resolve_threshold``'s rule, checked up front."""
-        if self.threshold_tuning == "validation-sweep" and valid:
-            return
-        for view, name in (("attr", "tau_e_attr"), ("rel", "tau_e_rel")):
-            if self.views in ("both", view) and getattr(self, name) is None:
-                raise ConfigError(f"{name} is unset, and threshold_tuning is "
-                                  f"{self.threshold_tuning!r} with {len(valid)} validation pairs")
+        if self.max_iterations < 1:
+            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
     def settings(self) -> PipelineSettings:
         return PipelineSettings(
@@ -190,18 +167,6 @@ def _parse_value(ftype: str, raw: str):
     return raw
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(str(x) for x in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _pair_lines(path):
     """``(lineno, left, right)`` for each nonblank line of a two-column file."""
     for lineno, line in read_lines(path):
@@ -231,10 +196,10 @@ def _resolve_pairs(g, g2, label_pairs):
 
 def cmd_align(args) -> int:
     cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    for name in ("merge_mode", "max_iterations", "views", "out_dir", "rng_seed", "workers"):
-        value = getattr(args, name, None)
+    for f in dataclasses.fields(cfg):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, name, value)
+            setattr(cfg, f.name, value)
     cfg.validate()
     try:
         settings = cfg.settings()
@@ -258,7 +223,10 @@ def cmd_align(args) -> int:
             train, valid, test = split_ills(pairs, rng_seed=cfg.rng_seed)
         except ValueError as exc:
             raise ConfigError(f"{cfg.ill}: {exc}") from exc
-    cfg.check_thresholds(valid)
+    try:
+        check_thresholds(settings, valid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     seeds = build_initial_seeds(g, g2, train)
     valid_ids = _resolve_pairs(g, g2, valid)
@@ -278,20 +246,14 @@ def cmd_align(args) -> int:
         export_embeddings(table.ent, g.ent_labels + g2.ent_labels, out / "ent_embeddings.tsv")
         export_embeddings(table.rel, g.rel_labels + g2.rel_labels, out / "rel_embeddings.tsv")
 
+    merged = SimilarityMatrix(result.merged_scores(), "merged")
     reports = []
-    if result.s_attr is not None:
-        reports.append(evaluate(result.s_attr, test_ids, cfg.eval_ks))
-    if result.s_rel is not None:
-        reports.append(evaluate(result.s_rel, test_ids, cfg.eval_ks))
-    reports.append(evaluate(result.merged_scores(), test_ids, cfg.eval_ks, source="merged"))
-
-    if cfg.dump_matrices:
-        if result.s_attr is not None:
-            write_similarity_dump(result.s_attr, out / "s_attr.bin")
-        if result.s_rel is not None:
-            write_similarity_dump(result.s_rel, out / "s_rel.bin")
-        write_similarity_dump(SimilarityMatrix(result.merged_scores(), "merged"),
-                              out / "s_merged.bin")
+    for name, view in (("attr", result.s_attr), ("rel", result.s_rel), ("merged", merged)):
+        if view is None:
+            continue
+        reports.append(evaluate(view, test_ids, cfg.eval_ks))
+        if cfg.dump_matrices:
+            write_similarity_dump(view, out / f"s_{name}.bin")
 
     payload = {
         "converged": result.converged,
@@ -358,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_align.add_argument("--config", help="INI config file")
     p_align.add_argument("--merge", dest="merge_mode", choices=MERGE_MODES)
     p_align.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p_align.add_argument("--views", choices=("both", "attr", "rel"))
+    p_align.add_argument("--views", choices=VIEW_MODES)
     p_align.add_argument("--out", dest="out_dir")
     p_align.add_argument("--seed", dest="rng_seed", type=int)
     p_align.add_argument("--threads", dest="workers", type=int)

@@ -100,8 +100,9 @@ class PipelineSettings:
     def __post_init__(self):
         if self.views not in VIEW_MODES:
             raise ValueError(f"views must be one of {VIEW_MODES}, got {self.views!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        for name in ("m_slots", "min_count", "value_dim", "em_iterations", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -242,14 +243,20 @@ def merge_rank(attr_list: RankedAlignmentList, rel_list: RankedAlignmentList):
     return _with_provenance(chosen, ratios_attr, ratios_rel)
 
 
-def _resolve_threshold(fixed: float | None, thresholds: Thresholds, valid_pairs, scores) -> float:
-    """Swept on the validation pairs when tuning is "validation-sweep" and
-    there are any, else the fixed value."""
+def check_thresholds(settings: PipelineSettings, valid_pairs) -> bool:
+    """Whether the entity thresholds are swept on ``valid_pairs``: they are
+    when tuning is "validation-sweep" and there are pairs to sweep on.
+    Otherwise each view in use needs a fixed threshold.
+    """
+    thresholds = settings.thresholds
     if thresholds.tuning == "validation-sweep" and valid_pairs:
-        return tune_thresholds(valid_pairs, scores)
-    if fixed is None:
-        raise ValueError("no validation pairs to sweep and no fixed threshold given")
-    return fixed
+        return True
+    for view in ("attr", "rel"):
+        name = f"tau_e_{view}"
+        if settings.views in ("both", view) and getattr(thresholds, name) is None:
+            raise ValueError(f"{name} is unset, and threshold_tuning is {thresholds.tuning!r} "
+                             f"with {len(valid_pairs or ())} validation pairs")
+    return False
 
 
 def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
@@ -260,12 +267,16 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
     A single-view run merges sequentially whatever ``merge_mode`` says: the
     view that is off proposes nothing.  ``seeds`` is copied, never mutated.
     ``valid_pairs`` are (left id, right id) entity pairs used only for
-    threshold sweeps.  Structure training reseeds per iteration from the
-    configured seed so reruns are reproducible end to end.
+    threshold sweeps; ``check_thresholds`` runs before the first round.
+    Structure training reseeds per iteration from the configured seed so
+    reruns are reproducible end to end.
     """
     if merge_mode not in MERGE_MODES:
         raise ValueError(f"merge_mode must be one of {MERGE_MODES}, got {merge_mode!r}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     settings = settings or PipelineSettings()
+    sweep = check_thresholds(settings, valid_pairs)
     store = seeds.copy()
     candidates = CandidateSet.from_graphs(g, g2, store)
     frequent = frequent_attributes(g, g2, settings.min_count)
@@ -324,8 +335,8 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
             timings["attribute_scores"] = time.perf_counter() - tick
 
             tick = time.perf_counter()
-            tau_attr = _resolve_threshold(settings.thresholds.tau_e_attr, settings.thresholds,
-                                          valid_pairs, s_attr.data)
+            tau_attr = (tune_thresholds(valid_pairs, s_attr.data) if sweep
+                        else settings.thresholds.tau_e_attr)
             used["tau_e_attr"] = tau_attr
             attr_inf = infer_from_attribute_view(s_attr, store, candidates, tau_attr,
                                                  settings.thresholds.tau_v,
@@ -344,8 +355,8 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
             timings["relationship_training"] = time.perf_counter() - tick
 
             tick = time.perf_counter()
-            tau_rel = _resolve_threshold(settings.thresholds.tau_e_rel, settings.thresholds,
-                                         valid_pairs, s_rel.data)
+            tau_rel = (tune_thresholds(valid_pairs, s_rel.data) if sweep
+                       else settings.thresholds.tau_e_rel)
             used["tau_e_rel"] = tau_rel
             exclude = ((attr_inf.entities.left_entities(), attr_inf.entities.right_entities())
                        if mode == "M1" else ((), ()))

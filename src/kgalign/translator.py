@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kg import ValueText
-
 
 @dataclass
 class TranslationTable:
@@ -121,11 +119,13 @@ def train_translation(pairs, iterations: int = 10) -> TranslationTable:
     return TranslationTable(probs, best, log_likelihoods)
 
 
-def translate_value(table: TranslationTable, value: ValueText) -> ValueText:
-    """Token-wise argmax translation; unknown tokens pass through unchanged."""
-    out = tuple(table.best.get(tok, tok) for tok in value.tokens)
-    # Every token is a tokenize() output, so tokenizing the joined raw gives ``out``.
-    return ValueText(" ".join(out), out)
+def translate_tokens(table: TranslationTable, tokens: tuple[str, ...]) -> tuple[str, ...]:
+    """Token-wise argmax translation; unknown tokens pass through unchanged.
+
+    Every output token is a ``tokenize`` output, so the joined output
+    tokenizes back to itself.
+    """
+    return tuple(table.best.get(tok, tok) for tok in tokens)
 
 
 class WordVectorProvider:

@@ -1,5 +1,6 @@
 """Subcommand behavior, config round-trips, and end-to-end determinism."""
 
+import configparser
 import dataclasses
 import json
 import re
@@ -9,12 +10,37 @@ import pytest
 
 from kgalign import cli
 from kgalign.attribute_model import SimilarityMatrix, write_similarity_dump
+from kgalign.pipeline import PipelineSettings, Thresholds
 from kgalign.synth import SynthSpec, generate_synth, write_dataset
 
 
 def gen_args(out, seed=0, entities=60, drop=0.0):
     return ["gen", "--out", str(out), "--entities", str(entities),
             "--drop-prob", str(drop), "--seed", str(seed)]
+
+
+def _format_value(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(str(x) for x in value)
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def write_config(cfg, path) -> None:
+    """Write every field of ``cfg`` under its INI section."""
+    parser = configparser.ConfigParser()
+    for f in dataclasses.fields(cfg):
+        section = f.metadata["section"]
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, f.name, _format_value(getattr(cfg, f.name)))
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
 
 
 def config_for(data_dir, out_dir, **overrides):
@@ -73,7 +99,7 @@ def dataset(tmp_path_factory):
 class TestAlign:
     def test_forced_optimum_exit_zero_hr1(self, dataset, tmp_path, capsys):
         cfg = config_for(dataset, tmp_path / "out")
-        cfg.to_file(tmp_path / "c.ini")
+        write_config(cfg, tmp_path / "c.ini")
         assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 0
         payload = json.loads(capsys.readouterr().out)
         merged = [r for r in payload["reports"] if r["source"] == "merged"][0]
@@ -86,7 +112,7 @@ class TestAlign:
         cfg = config_for(dataset, tmp_path / "out")
         cfg.ill_train = cfg.ill_valid = cfg.ill_test = ""
         cfg.ill = str(dataset / "ill_ent_pairs")
-        cfg.to_file(tmp_path / "c.ini")
+        write_config(cfg, tmp_path / "c.ini")
         assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 0
         payload = json.loads(capsys.readouterr().out)
         # 60 links split 4:1:10 -> 16 train, 4 valid, 40 test
@@ -95,7 +121,7 @@ class TestAlign:
     def test_missing_triple_file_exit_two(self, dataset, tmp_path, caplog):
         cfg = config_for(dataset, tmp_path / "out")
         cfg.rel_1 = str(tmp_path / "nowhere.tsv")
-        cfg.to_file(tmp_path / "c.ini")
+        write_config(cfg, tmp_path / "c.ini")
         assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
         assert "nowhere.tsv" in caplog.text
 
@@ -104,7 +130,7 @@ class TestAlign:
                                                           views):
         cfg = config_for(dataset, tmp_path / "out", threshold_tuning="fixed",
                          tau_e_attr=0.5, views=views)
-        cfg.to_file(tmp_path / "c.ini")
+        write_config(cfg, tmp_path / "c.ini")
         assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
         assert "tau_e_rel is unset" in caplog.text
         assert not (tmp_path / "out").exists()
@@ -119,15 +145,28 @@ class TestAlign:
         (tmp_path / "ill_valid").write_bytes(b"")
         cfg = config_for(dataset, tmp_path / "out", ill_valid=str(tmp_path / "ill_valid"),
                          threshold_tuning="validation-sweep", views=views)
-        cfg.to_file(tmp_path / "c.ini")
+        write_config(cfg, tmp_path / "c.ini")
         assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
         assert f"tau_e_{views} is unset" in caplog.text
         assert "0 validation pairs" in caplog.text
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["em_iterations", "max_iterations", "m_slots",
+                                     "value_dim", "min_count"])
+    def test_knob_below_one_exits_two_before_loading(self, dataset, tmp_path, caplog,
+                                                     monkeypatch, key):
+        def fail(*args, **kwargs):
+            raise AssertionError("load_graph called")
+
+        monkeypatch.setattr(cli, "load_graph", fail)
+        cfg = config_for(dataset, tmp_path / "out", views="attr", **{key: 0})
+        write_config(cfg, tmp_path / "c.ini")
+        assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
+        assert f"{key} must be >= 1, got 0" in caplog.text
+
     def test_zero_threads_exit_two(self, dataset, tmp_path, caplog):
         cfg = config_for(dataset, tmp_path / "out")
-        cfg.to_file(tmp_path / "c.ini")
+        write_config(cfg, tmp_path / "c.ini")
         assert cli.main(["align", "--config", str(tmp_path / "c.ini"), "--threads", "0"]) == 2
         assert "workers must be >= 1" in caplog.text
 
@@ -139,7 +178,7 @@ class TestAlign:
         data = (dataset / name).read_bytes()
         bad.write_bytes(data + b"\xff\xfe")
         cfg = config_for(dataset, tmp_path / "out", **{field: str(bad)})
-        cfg.to_file(tmp_path / "c.ini")
+        write_config(cfg, tmp_path / "c.ini")
         assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
         assert f"{bad}:{len(data.splitlines()) + 1}: not valid UTF-8" in caplog.text
 
@@ -149,7 +188,7 @@ class TestAlign:
 
         monkeypatch.setattr(cli, "run_pipeline", fail)
         cfg = config_for(dataset, tmp_path / "out")
-        cfg.to_file(tmp_path / "c.ini")
+        write_config(cfg, tmp_path / "c.ini")
         assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 1
         assert "runtime failure: boom" in caplog.text
 
@@ -158,7 +197,7 @@ class TestAlign:
         lines = (dataset / "ill_valid").read_text(encoding="utf-8").splitlines()
         bad.write_text(lines[0] + "\n" + lines[1].replace("\t", " ") + "\n", encoding="utf-8")
         cfg = config_for(dataset, tmp_path / "out", ill_valid=str(bad))
-        cfg.to_file(tmp_path / "c.ini")
+        write_config(cfg, tmp_path / "c.ini")
         assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
         assert f"{bad}:2: expected 2 tab-separated fields, got 1" in caplog.text
 
@@ -171,14 +210,14 @@ class TestAlign:
         cfg = config_for(dataset, tmp_path / "out", **{field: str(bad)})
         if field == "ill":
             cfg.ill_train = cfg.ill_valid = cfg.ill_test = ""
-        cfg.to_file(tmp_path / "c.ini")
+        write_config(cfg, tmp_path / "c.ini")
         assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
         assert f"{bad}:{len(lines) + 1}: unknown left entity 'nosuch'" in caplog.text
 
     def test_identical_runs_identical_dumps(self, dataset, tmp_path, capsys):
         for name in ("a", "b"):
             cfg = config_for(dataset, tmp_path / name)
-            cfg.to_file(tmp_path / f"{name}.ini")
+            write_config(cfg, tmp_path / f"{name}.ini")
             assert cli.main(["align", "--config", str(tmp_path / f"{name}.ini")]) == 0
         capsys.readouterr()
         assert ((tmp_path / "a" / "alignments.tsv").read_bytes()
@@ -186,7 +225,7 @@ class TestAlign:
 
     def test_dumped_matrix_feeds_eval_subcommand(self, dataset, tmp_path, capsys):
         cfg = config_for(dataset, tmp_path / "out", dump_matrices=True)
-        cfg.to_file(tmp_path / "c.ini")
+        write_config(cfg, tmp_path / "c.ini")
         assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 0
         align_payload = json.loads(capsys.readouterr().out)
         merged = [r for r in align_payload["reports"] if r["source"] == "merged"][0]
@@ -199,6 +238,8 @@ class TestAlign:
             a, b = line.split("\t")
             rows.append(f"{g.entity_id(a)}\t{g2.entity_id(b)}")
         (tmp_path / "test_idx.tsv").write_text("".join(r + "\n" for r in rows))
+        for view in ("attr", "rel", "merged"):
+            assert (tmp_path / "out" / f"s_{view}.bin").is_file()
         assert cli.main(["eval", "--matrix", str(tmp_path / "out" / "s_merged.bin"),
                          "--test", str(tmp_path / "test_idx.tsv")]) == 0
         eval_payload = json.loads(capsys.readouterr().out)
@@ -213,7 +254,7 @@ class TestAlign:
         for mode in ("M1", "M3"):
             cfg = config_for(data, tmp_path / mode, epochs=30, dim=24,
                              value_dim=32, m_slots=8, min_count=3, max_iterations=4)
-            cfg.to_file(tmp_path / f"{mode}.ini")
+            write_config(cfg, tmp_path / f"{mode}.ini")
             assert cli.main(["align", "--config", str(tmp_path / f"{mode}.ini"),
                              "--merge", mode]) == 0
             dumps[mode] = (tmp_path / mode / "alignments.tsv").read_text()
@@ -275,18 +316,23 @@ class TestConfig:
                                  attr_2="d.tsv", ill="ills.tsv", tau_e_attr=1.25,
                                  learning_rate=0.015, retrain_translator=False,
                                  eval_ks=(1, 5, 10), merge_mode="M2")
-        cfg.to_file(tmp_path / "c.ini")
+        write_config(cfg, tmp_path / "c.ini")
         loaded = cli.PipelineConfig.from_file(tmp_path / "c.ini")
         assert dataclasses.asdict(loaded) == dataclasses.asdict(cfg)
-        loaded.to_file(tmp_path / "c2.ini")
+        write_config(loaded, tmp_path / "c2.ini")
         assert (tmp_path / "c.ini").read_text() == (tmp_path / "c2.ini").read_text()
+
+    def test_defaults_map_to_pipeline_defaults(self):
+        # threshold_tuning is the one default that differs, on purpose.
+        assert cli.PipelineConfig().settings() == PipelineSettings(
+            thresholds=Thresholds(tuning="validation-sweep"))
 
     def test_missing_config_file_exit_two(self, tmp_path):
         assert cli.main(["align", "--config", str(tmp_path / "absent.ini")]) == 2
 
     def test_none_threshold_round_trips(self, tmp_path):
         cfg = cli.PipelineConfig(tau_e_attr=None)
-        cfg.to_file(tmp_path / "c.ini")
+        write_config(cfg, tmp_path / "c.ini")
         assert cli.PipelineConfig.from_file(tmp_path / "c.ini").tau_e_attr is None
 
     @pytest.mark.parametrize("text, message", [
@@ -294,7 +340,9 @@ class TestConfig:
         ("[modle]\ntau_v = 0.1\n", "unknown section [modle]"),
         ("[DEFAULT]\ntau_v = 0.1\n", "unknown section [DEFAULT]"),
         ("[pipeline]\nblock_size = 64\n", "[pipeline] block_size was removed"),
-    ], ids=["misspelled_key", "unknown_section", "default_section", "removed_block_size"])
+        ("[data]\ntau_v = 0.1\n", "unknown key 'tau_v' in [data]"),
+    ], ids=["misspelled_key", "unknown_section", "default_section", "removed_block_size",
+            "wrong_section"])
     def test_unknown_or_removed_key_exit_two(self, tmp_path, caplog, text, message):
         path = tmp_path / "c.ini"
         path.write_text(text, encoding="utf-8")

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a library module imports is used in it."""
+"""Source hygiene: every name a library module imports is used in it, and
+every public definition is used by the library or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,37 @@ def test_detects_unused_and_string_annotations():
     source = ("import os\nimport numpy as np\nfrom x import A, B\n"
               "def f(a: 'A') -> np.ndarray:\n    return a\n")
     assert unused_imports(source) == [("os", 1), ("B", 3)]
+
+
+def public_definitions(tree):
+    """(qualified name, bare name) of each public top-level function and
+    class, and of each public method of a top-level class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def referenced_names(paths):
+    """Every ``ast.Name`` id and ``ast.Attribute`` attr in ``paths``."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_no_public_api_only_tests_call():
+    bench = SRC.parent.parent / "bench"
+    used = referenced_names(sorted(SRC.glob("*.py")) + sorted(bench.rglob("*.py")))
+    unused = [f"{path.name}:{qualified}" for path in MODULES
+              for qualified, name in public_definitions(ast.parse(path.read_text("utf-8")))
+              if name not in used]
+    assert unused == []

@@ -437,6 +437,17 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="validation"):
             run_pipeline(g, g2, seeds, settings, max_iterations=1)
 
+    def test_threshold_rule_checked_before_training(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("train_translation called")
+
+        monkeypatch.setattr(pipeline, "train_translation", fail)
+        g, g2 = identical_graphs()
+        seeds = build_initial_seeds(g, g2, [("e0", "f0")])
+        settings = settings_for_tests(views="attr", thresholds=Thresholds(tuning="fixed"))
+        with pytest.raises(ValueError, match="tau_e_attr is unset"):
+            run_pipeline(g, g2, seeds, settings, max_iterations=1)
+
     def test_discovers_renamed_attributes_and_relations(self):
         # rename half the right-side labels so same-name seeding misses
         # them; the bootstrap must rediscover those pairs from values and
