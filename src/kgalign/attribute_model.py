@@ -6,12 +6,19 @@ whose attributes carry the same unified identification; slots of unaligned
 attributes never interact.  The full 4-d slot-pair tensor is never
 materialized: because the mask keeps only equal identifications and dot
 products are bilinear, grouping slots by identification and multiplying the
-per-entity aggregates is exactly equivalent and needs only
-O((N + N') * K * D + N * N') memory.
+per-entity aggregates is exactly equivalent.
+
+Memory: besides its N x N' float64 output, ``entity_similarity_attr`` holds
+the right graph's per-group aggregates (at most N' * m_slots * D floats) and,
+on each worker, one group's product of at most ``block_size`` x N' floats.
+A group that covers every row or every column of a block is added into the
+output in place; one that misses both some rows and some columns also
+gathers a copy of its product, so the worst case per worker is twice that.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,13 +47,17 @@ class SimilarityMatrix:
     source: str  # "attribute-view" or "relationship-view"
 
 
+_DUMP_ROWS = 1024  # rows converted per step, so no whole float32 copy is held
+
+
 def write_similarity_dump(matrix: SimilarityMatrix, path) -> None:
     """Binary dump: 8-byte header (rows, cols as little-endian uint32), then
     row-major float32."""
-    data = np.ascontiguousarray(matrix.data, dtype=np.float32)
+    data = matrix.data
     with open(path, "wb") as fh:
         fh.write(struct.pack("<II", data.shape[0], data.shape[1]))
-        fh.write(data.tobytes())
+        for start in range(0, data.shape[0], _DUMP_ROWS):
+            fh.write(np.ascontiguousarray(data[start:start + _DUMP_ROWS], dtype="<f4"))
 
 
 def read_similarity_dump(path) -> np.ndarray:
@@ -55,11 +66,15 @@ def read_similarity_dump(path) -> np.ndarray:
         if len(header) != 8:
             raise ValueError(f"{path}: truncated similarity dump header")
         rows, cols = struct.unpack("<II", header)
-        payload = fh.read()
-    expected = rows * cols * 4
-    if len(payload) != expected:
-        raise ValueError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float64)
+        expected = rows * cols * 4
+        payload = os.fstat(fh.fileno()).st_size - len(header)
+        if payload != expected:
+            raise ValueError(f"{path}: expected {expected} payload bytes, got {payload}")
+        scores = np.empty((rows, cols))
+        for start in range(0, rows, _DUMP_ROWS):
+            block = scores[start:start + _DUMP_ROWS]
+            block[:] = np.fromfile(fh, dtype="<f4", count=block.size).reshape(block.shape)
+    return scores
 
 
 @dataclass
@@ -152,6 +167,20 @@ def _check_shapes(values_left, values_right, slots_left, slots_right):
         raise ValueError("right value and identification shapes differ")
 
 
+def _cells(rows: np.ndarray, cols: np.ndarray, shape) -> tuple:
+    """Index of the (rows x cols) cells of an array of ``shape``.
+
+    ``rows`` and ``cols`` are sorted and unique.  An axis they cover fully is
+    a slice, so a product added there needs no gathered copy; ``np.ix_`` is
+    left for groups partial on both axes.
+    """
+    full_rows = rows.size == shape[0]
+    full_cols = cols.size == shape[1]
+    if full_rows or full_cols:
+        return (slice(None) if full_rows else rows, slice(None) if full_cols else cols)
+    return np.ix_(rows, cols)
+
+
 def entity_similarity_attr(values_left: ValueEmbeddingMatrix,
                            values_right: ValueEmbeddingMatrix,
                            slots_left: AttributeSlotMatrix,
@@ -182,13 +211,14 @@ def entity_similarity_attr(values_left: ValueEmbeddingMatrix,
         stop = min(start + block_size, n)
         ids_block = slots_left.ids[start:stop]
         data_block = values_left.data[start:stop]
+        out = scores[start:stop]
         for ident, cols, right_agg in right_groups:
             mask = ids_block == ident
             rows = np.nonzero(mask.any(axis=1))[0]
             if rows.size == 0:
                 continue
             left_agg = (data_block[rows] * mask[rows][:, :, None]).sum(axis=1)
-            scores[np.ix_(rows + start, cols)] += left_agg @ right_agg.T
+            out[_cells(rows, cols, out.shape)] += left_agg @ right_agg.T
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(fill_block, range(0, n, block_size)))

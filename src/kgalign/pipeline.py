@@ -295,6 +295,9 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
     converged = False
 
     for iteration in range(1, max_iterations + 1):
+        # Every round rebuilds these; dropping the last round's first keeps one
+        # score matrix per view alive instead of two.
+        s_attr = s_rel = embeddings = None
         timings: dict[str, float] = {}
         used: dict[str, float] = {}
         attr_inf = AttributeInference(RankedAlignmentList([]), [], set())
@@ -322,6 +325,7 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
 
             tick = time.perf_counter()
             if retrain:
+                values_left = None  # likewise released before its rebuild
                 values_left = build_value_matrix(g, table, provider, settings.m_slots,
                                                  frequent.left)
             if values_right is None:

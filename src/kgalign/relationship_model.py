@@ -244,8 +244,10 @@ def train_transe(swapped: SwappedTriples, cfg: TrainConfig) -> EmbeddingTable:
             table.capped_negatives += capped
             loss, grad_ent, grad_rel = minibatch_loss_and_grad(ent, rel, pos_rep, neg, cfg.margin)
             epoch_loss += loss
-            ent -= cfg.learning_rate * grad_ent
-            rel -= cfg.learning_rate * grad_rel
+            grad_ent *= cfg.learning_rate
+            grad_rel *= cfg.learning_rate
+            ent -= grad_ent
+            rel -= grad_rel
             touched = np.unique(np.concatenate([pos_rep[:, 0], pos_rep[:, 2],
                                                 neg[:, 0], neg[:, 2]]))
             _normalize_rows(ent, touched)

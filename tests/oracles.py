@@ -2,6 +2,7 @@
 design and used only by the tests."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -67,6 +68,40 @@ def entity_similarity_attr_dense(values_left, values_right, slots_left, slots_ri
     ids_r = slots_right.ids[None, :, None, :]
     mask = (ids_l == ids_r) & (ids_l != -1)
     return SimilarityMatrix((sims * mask).sum(axis=(2, 3)), "attribute-view")
+
+
+def entity_similarity_attr_ix(values_left, values_right, slots_left, slots_right,
+                              block_size=1024, workers=1):
+    """Grouped products accumulated through ``np.ix_`` gathers, whatever a
+    group covers: the same blocks and product shapes as the fast path, so its
+    sums must agree bit for bit."""
+    n = values_left.data.shape[0]
+    n2 = values_right.data.shape[0]
+    shared = sorted(set(np.unique(slots_left.ids)) & set(np.unique(slots_right.ids)) - {-1})
+    scores = np.zeros((n, n2))
+
+    right_groups = []
+    for ident in shared:
+        mask = slots_right.ids == ident
+        cols = np.nonzero(mask.any(axis=1))[0]
+        agg = (values_right.data[cols] * mask[cols][:, :, None]).sum(axis=1)
+        right_groups.append((ident, cols, agg))
+
+    def fill_block(start):
+        stop = min(start + block_size, n)
+        ids_block = slots_left.ids[start:stop]
+        data_block = values_left.data[start:stop]
+        for ident, cols, right_agg in right_groups:
+            mask = ids_block == ident
+            rows = np.nonzero(mask.any(axis=1))[0]
+            if rows.size == 0:
+                continue
+            left_agg = (data_block[rows] * mask[rows][:, :, None]).sum(axis=1)
+            scores[np.ix_(rows + start, cols)] += left_agg @ right_agg.T
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(fill_block, range(0, n, block_size)))
+    return scores
 
 
 def train_translation_loop(pairs, iterations):

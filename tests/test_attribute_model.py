@@ -1,9 +1,14 @@
 """Masked slot-pair similarity: construction, fast path, and inference."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kgalign.attribute_model import (
+    _DUMP_ROWS,
     AttributeSlotMatrix,
     SimilarityMatrix,
     ValueEmbeddingMatrix,
@@ -23,7 +28,12 @@ from kgalign.kg import (
     top_m_attr_slots,
 )
 from kgalign.translator import WordVectorProvider
-from oracles import brute_force_scores, embed_value, entity_similarity_attr_dense
+from oracles import (
+    brute_force_scores,
+    embed_value,
+    entity_similarity_attr_dense,
+    entity_similarity_attr_ix,
+)
 
 
 def random_fixture(rng, n, n2, m, dim, n_ids=4):
@@ -204,6 +214,78 @@ class TestEntitySimilarity:
         assert np.isfinite(s.data).all()
 
 
+COVERAGE = ("all", "some", "none")
+
+
+def covered(rng, mode, count):
+    if mode == "all":
+        return np.ones(count, dtype=bool)
+    if mode == "none":
+        return np.zeros(count, dtype=bool)
+    return rng.random(count) < 0.5
+
+
+def layout_fixture(seed, n, n2, modes, dim=3):
+    """Identification ``k`` sits in slot ``k`` of the entities its coverage
+    mode picks on each side; one more slot draws any identification or -1,
+    so an entity can hold an identification twice.  Slots are then shuffled
+    per entity."""
+    rng = np.random.default_rng(seed)
+    m = len(modes) + 1
+
+    def side(count, which):
+        ids = np.full((count, m), -1)
+        for k, mode in enumerate(modes):
+            ids[covered(rng, mode[which], count), k] = k
+        ids[:, -1] = rng.integers(-1, len(modes), count)
+        ids = rng.permuted(ids, axis=1)
+        vecs = rng.standard_normal((count, m, dim))
+        vecs[ids == -1] = 0.0
+        return ValueEmbeddingMatrix(vecs, (ids != -1).sum(axis=1), []), AttributeSlotMatrix(ids)
+
+    values_l, slots_l = side(n, 0)
+    values_r, slots_r = side(n2, 1)
+    return values_l, values_r, slots_l, slots_r
+
+
+class TestAccumulation:
+    """In-place accumulation must add exactly what the ``np.ix_`` gathers add."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 23), n2=st.integers(1, 9),
+           block_size=st.integers(1, 8), workers=st.sampled_from([1, 2]),
+           modes=st.lists(st.tuples(st.sampled_from(COVERAGE), st.sampled_from(COVERAGE)),
+                          min_size=1, max_size=4))
+    @example(seed=0, n=10, n2=7, block_size=4, workers=2,
+             modes=[("all", "all"), ("all", "some"), ("some", "all"), ("some", "some")])
+    @example(seed=1, n=9, n2=5, block_size=9, workers=1, modes=[("all", "all")])
+    def test_bitwise_equal_to_ix_accumulation(self, seed, n, n2, block_size, workers, modes):
+        fixture = layout_fixture(seed, n, n2, modes)
+        fast = entity_similarity_attr(*fixture, block_size=block_size, workers=workers)
+        oracle = entity_similarity_attr_ix(*fixture, block_size=block_size, workers=workers)
+        np.testing.assert_array_equal(fast.data.view(np.int64), oracle.view(np.int64))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_of_a_full_group(self, workers):
+        # One identification on every entity: each block's product covers the
+        # whole block, which the gathered accumulation held twice per worker.
+        n, n2, block_size = 2100, 300, 1024
+        values_l, values_r, slots_l, slots_r = layout_fixture(3, n, n2, [("all", "all")])
+        # a first call imports modules lazily; keep that out of the measured peak
+        entity_similarity_attr(*layout_fixture(3, 2, 2, [("all", "all")]), workers=workers)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            scores = entity_similarity_attr(values_l, values_r, slots_l, slots_r,
+                                            block_size=block_size, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert scores.data.nbytes == n * n2 * 8
+        assert peak < scores.data.nbytes + workers * block_size * n2 * 8 * 1.25
+
+
 class TestSimilarityDump:
     def test_round_trip(self, tmp_path):
         data = np.arange(12, dtype=np.float64).reshape(3, 4) / 7.0
@@ -213,6 +295,15 @@ class TestSimilarityDump:
         assert loaded.shape == (3, 4)
         np.testing.assert_allclose(loaded, data, atol=1e-6)
         assert path.stat().st_size == 8 + 12 * 4
+
+    def test_rows_beyond_one_block(self, tmp_path):
+        rng = np.random.default_rng(0)
+        data = rng.standard_normal((2 * _DUMP_ROWS + 5, 3))
+        path = tmp_path / "s.bin"
+        write_similarity_dump(SimilarityMatrix(data, "merged"), path)
+        assert path.read_bytes() == struct.pack("<II", *data.shape) + data.astype("<f4").tobytes()
+        loaded = read_similarity_dump(path)
+        np.testing.assert_array_equal(loaded, data.astype(np.float32).astype(np.float64))
 
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"

@@ -1,6 +1,7 @@
 """Merge strategies, threshold sweeps, and the bootstrap loop."""
 
 import hashlib
+import weakref
 from random import Random
 
 import numpy as np
@@ -557,3 +558,29 @@ class TestMergeDigests:
         digests = {joint_run(joint_fixture, views, mode, tmp_path / f"{mode}.tsv")[1]
                    for mode in ("M1", "M2", "M3")}
         assert digests == {digest}
+
+
+def test_previous_round_products_released(joint_fixture, tmp_path, monkeypatch):
+    # A round's dense products must be gone before the next round builds its
+    # own, so at most one matrix per view is alive at a time.
+    refs = {}
+
+    def watch(name):
+        func = getattr(pipeline, name)
+
+        def scored(*args, **kwargs):
+            assert all(ref() is None for ref in refs.setdefault(name, []))
+            result = func(*args, **kwargs)
+            refs[name].append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(pipeline, name, scored)
+
+    for name in ("entity_similarity_attr", "entity_similarity_rel", "train_transe"):
+        watch(name)
+    result, _ = joint_run(joint_fixture, "both", "M3", tmp_path / "a.tsv")
+    assert len(result.records) == 3
+    assert [len(r) for r in refs.values()] == [3, 3, 3]
+    assert refs["entity_similarity_attr"][-1]() is result.s_attr
+    assert refs["entity_similarity_rel"][-1]() is result.s_rel
+    assert refs["train_transe"][-1]() is result.embeddings
