@@ -7,7 +7,6 @@ structure-embedding view inside an iterative bootstrap.
 
 from .kg import (
     AlignmentStore,
-    CandidateSet,
     FrequentAttributes,
     KnowledgeGraph,
     ParseError,

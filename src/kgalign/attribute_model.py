@@ -27,11 +27,11 @@ import numpy as np
 
 from .kg import (
     AlignmentStore,
-    CandidateSet,
     FrequentAttributes,
     KnowledgeGraph,
     RankedAlignmentList,
     ValueText,
+    cooccurring_values,
     greedy_one_to_one,
     infer_entity_pairs,
     top_m_attr_slots,
@@ -235,19 +235,20 @@ class AttributeInference:
 
 
 def infer_from_attribute_view(s_attr: SimilarityMatrix, store: AlignmentStore,
-                              candidates: CandidateSet, tau_e_attr: float, tau_v: float,
+                              tau_e_attr: float, tau_v: float,
                               g: KnowledgeGraph, g2: KnowledgeGraph,
                               values_left: ValueEmbeddingMatrix,
                               values_right: ValueEmbeddingMatrix) -> AttributeInference:
     """Entity, attribute, and value alignments from the attribute view.
 
-    Entity pairs clear ``tau_e_attr`` and are one-to-one reduced.  Attribute
-    pairs come from slot pairs of aligned entities (existing alignments plus
-    this round's entity inferences) whose value similarity clears ``tau_v``.
+    Entity pairs with neither entity aligned yet clear ``tau_e_attr`` and
+    are one-to-one reduced.  Attribute pairs come from slot pairs of aligned
+    entities (existing alignments plus this round's entity inferences) whose
+    value similarity clears ``tau_v``.
     Value pairs are the co-occurring values of triples whose entity and
     attribute are both aligned.
     """
-    entities = infer_entity_pairs(s_attr.data, candidates, tau_e_attr)
+    entities = infer_entity_pairs(s_attr.data, tau_e_attr, *store.taken_entities())
     known_pairs = sorted(store.ent_pairs | {(m, n) for m, n, _ in entities.pairs})
 
     proposals: dict[tuple[int, int], float] = {}
@@ -268,13 +269,6 @@ def infer_from_attribute_view(s_attr: SimilarityMatrix, store: AlignmentStore,
 
     attr_map = store.attr_map()
     attr_map.update({a: b for a, b, _ in new_attrs})
-    new_vals: set[tuple[ValueText, ValueText]] = set()
-    for left, right in known_pairs:
-        for attr, value in g.attributes_of(left):
-            counterpart = attr_map.get(attr)
-            if counterpart is None:
-                continue
-            for value2 in g2.values_of(right, counterpart):
-                if (value, value2) not in store.val_pairs:
-                    new_vals.add((value, value2))
+    new_vals = {pair for pair in cooccurring_values(g, g2, known_pairs, attr_map)
+                if pair not in store.val_pairs}
     return AttributeInference(entities, new_attrs, new_vals)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .attribute_model import read_similarity_dump, write_similarity_dump, SimilarityMatrix
 from .kg import ParseError, build_initial_seeds, load_graph, read_lines
-from .metrics import evaluate, split_ills
+from .metrics import check_ks, evaluate, split_ills
 from .pipeline import (
     MERGE_MODES,
     VIEW_MODES,
@@ -128,6 +128,10 @@ class PipelineConfig:
             raise ConfigError(f"merge_mode must be one of {MERGE_MODES}")
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        try:
+            check_ks(self.eval_ks)
+        except ValueError as exc:
+            raise ConfigError(f"eval_ks: {exc}") from exc
 
     def settings(self) -> PipelineSettings:
         return PipelineSettings(

@@ -4,8 +4,8 @@ A graph is the union of relationship triplets (head, relation, tail) and
 attribute triplets (head, attribute, literal value).  Everything is interned
 to dense integer ids per graph, triples are deduplicated, and all traversals
 are deterministic.  Alignment state between two graphs lives in
-:class:`AlignmentStore`; the pool of entity pairs still open for inference is
-:class:`CandidateSet`.
+:class:`AlignmentStore`; an entity is open for inference exactly when the
+store has not aligned it.
 """
 
 from __future__ import annotations
@@ -282,11 +282,8 @@ class AlignmentStore:
     def attr_map(self) -> dict[int, int]:
         return dict(self._attr_left)
 
-    def aligned_left_entities(self) -> set[int]:
-        return set(self._ent_left)
-
-    def aligned_right_entities(self) -> set[int]:
-        return set(self._ent_right)
+    def taken_entities(self) -> tuple[set[int], set[int]]:
+        return set(self._ent_left), set(self._ent_right)
 
     def taken_relations(self) -> tuple[set[int], set[int]]:
         return set(self._rel_left), set(self._rel_right)
@@ -300,44 +297,9 @@ class AlignmentStore:
 
     def copy(self) -> "AlignmentStore":
         dup = AlignmentStore()
-        dup.ent_pairs = set(self.ent_pairs)
-        dup.rel_pairs = set(self.rel_pairs)
-        dup.attr_pairs = set(self.attr_pairs)
-        dup.val_pairs = set(self.val_pairs)
-        dup.provenance = dict(self.provenance)
-        dup._ent_left = dict(self._ent_left)
-        dup._ent_right = dict(self._ent_right)
-        dup._rel_left = dict(self._rel_left)
-        dup._rel_right = dict(self._rel_right)
-        dup._attr_left = dict(self._attr_left)
-        dup._attr_right = dict(self._attr_right)
+        for name, value in vars(self).items():
+            setattr(dup, name, value.copy())
         return dup
-
-
-class CandidateSet:
-    """Entity pairs still eligible for inference.
-
-    Represented implicitly as the product of unaligned left and right
-    entities; consuming a pair frees neither endpoint again, so the pool and
-    the alignment store stay disjoint.
-    """
-
-    def __init__(self, free_left, free_right):
-        self.free_left: set[int] = set(free_left)
-        self.free_right: set[int] = set(free_right)
-
-    @classmethod
-    def from_graphs(cls, g: KnowledgeGraph, g2: KnowledgeGraph,
-                    store: AlignmentStore) -> "CandidateSet":
-        return cls(set(range(g.num_entities)) - store.aligned_left_entities(),
-                   set(range(g2.num_entities)) - store.aligned_right_entities())
-
-    def contains(self, left: int, right: int) -> bool:
-        return left in self.free_left and right in self.free_right
-
-    def consume(self, left: int, right: int) -> None:
-        self.free_left.discard(left)
-        self.free_right.discard(right)
 
 
 @dataclass
@@ -385,16 +347,15 @@ def greedy_one_to_one(scored, taken_left=(), taken_right=(),
     return accepted
 
 
-def infer_entity_pairs(scores: np.ndarray, candidates: CandidateSet, threshold: float,
-                       exclude_left=(), exclude_right=()) -> RankedAlignmentList:
-    """Candidate pairs scoring strictly above the threshold, one-to-one reduced."""
+def infer_entity_pairs(scores: np.ndarray, threshold: float,
+                       taken_left=(), taken_right=()) -> RankedAlignmentList:
+    """Cells of an entity or relation score matrix strictly above the threshold,
+    one-to-one reduced; a cell whose row or column is taken is dropped before
+    the sort."""
     rows, cols = np.nonzero(scores > threshold)
-    excl_l = set(exclude_left)
-    excl_r = set(exclude_right)
-    scored = [(int(m), int(n), float(scores[m, n]))
-              for m, n in zip(rows, cols)
-              if candidates.contains(int(m), int(n))
-              and int(m) not in excl_l and int(n) not in excl_r]
+    scored = [(m, n, float(scores[m, n]))
+              for m, n in zip(rows.tolist(), cols.tolist())
+              if m not in taken_left and n not in taken_right]
     return RankedAlignmentList(greedy_one_to_one(scored))
 
 
@@ -411,6 +372,19 @@ def _same_name_pairs(labels_left, labels_right) -> list[tuple[int, int]]:
     left = first_by_key(labels_left)
     right = first_by_key(labels_right)
     return sorted((left[k], right[k]) for k in left.keys() & right.keys())
+
+
+def cooccurring_values(g: KnowledgeGraph, g2: KnowledgeGraph, ent_pairs,
+                       attr_map: dict[int, int]):
+    """``(left value, right value)`` the two entities of each pair hold under
+    an aligned attribute pair; by pair, then left slot, then right value."""
+    for left, right in ent_pairs:
+        for attr, value in g.attributes_of(left):
+            counterpart = attr_map.get(attr)
+            if counterpart is None:
+                continue
+            for value2 in g2.values_of(right, counterpart):
+                yield value, value2
 
 
 def build_initial_seeds(g: KnowledgeGraph, g2: KnowledgeGraph, ill_train) -> AlignmentStore:
@@ -435,12 +409,6 @@ def build_initial_seeds(g: KnowledgeGraph, g2: KnowledgeGraph, ill_train) -> Ali
         store.add_rel_pair(left, right, PROV_SEED)
     for left, right in _same_name_pairs(g.attr_labels, g2.attr_labels):
         store.add_attr_pair(left, right, PROV_SEED)
-    attr_map = store.attr_map()
-    for ent_left, ent_right in sorted(store.ent_pairs):
-        for attr, value in g.attributes_of(ent_left):
-            counterpart = attr_map.get(attr)
-            if counterpart is None:
-                continue
-            for value2 in g2.values_of(ent_right, counterpart):
-                store.add_val_pair(value, value2, PROV_SEED)
+    for value, value2 in cooccurring_values(g, g2, sorted(store.ent_pairs), store.attr_map()):
+        store.add_val_pair(value, value2, PROV_SEED)
     return store

@@ -23,6 +23,12 @@ class EvalReport:
                            "mrr": self.mrr}, sort_keys=True)
 
 
+def check_ks(ks) -> None:
+    """HR@K needs at least one cut-off, and every cut-off at least 1."""
+    if not ks or min(ks) < 1:
+        raise ValueError(f"ks must be one or more integers >= 1, got {list(ks)}")
+
+
 def evaluate(matrix, test_pairs, ks=(1, 10), source=None) -> EvalReport:
     """Rank every right-graph column for each test left entity.
 
@@ -30,6 +36,7 @@ def evaluate(matrix, test_pairs, ks=(1, 10), source=None) -> EvalReport:
     by ascending column id.  HR@K is the fraction ranked within K; MRR the
     mean reciprocal rank.
     """
+    check_ks(ks)
     if isinstance(matrix, SimilarityMatrix):
         scores = matrix.data
         source = source or matrix.source

@@ -33,7 +33,6 @@ from .kg import (
     PROV_MERGED,
     PROV_REL,
     AlignmentStore,
-    CandidateSet,
     KnowledgeGraph,
     RankedAlignmentList,
     frequent_attributes,
@@ -44,7 +43,6 @@ from .relationship_model import (
     EmbeddingTable,
     TrainConfig,
     entity_similarity_rel,
-    infer_relation_pairs,
     relation_similarity,
     swap_triplets,
     train_transe,
@@ -112,7 +110,7 @@ class IterationRecord:
     thresholds: dict[str, float]
     timings: dict[str, float]
     store_size: int
-    candidate_overlap: int  # aligned entities still in the candidate pool; must be 0
+    candidate_overlap: int  # merged entries on an entity aligned before the round; must be 0
     transe: dict = field(default_factory=dict)  # TransE summary; empty without that view
     translator: dict = field(default_factory=dict)  # EM summary; empty unless trained this round
 
@@ -278,7 +276,6 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
     settings = settings or PipelineSettings()
     sweep = check_thresholds(settings, valid_pairs)
     store = seeds.copy()
-    candidates = CandidateSet.from_graphs(g, g2, store)
     frequent = frequent_attributes(g, g2, settings.min_count)
     provider = WordVectorProvider(settings.value_dim)
     use_attr = settings.views in ("both", "attr")
@@ -298,6 +295,7 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
         # Every round rebuilds these; dropping the last round's first keeps one
         # score matrix per view alive instead of two.
         s_attr = s_rel = embeddings = None
+        taken_left, taken_right = store.taken_entities()
         timings: dict[str, float] = {}
         used: dict[str, float] = {}
         attr_inf = AttributeInference(RankedAlignmentList([]), [], set())
@@ -342,7 +340,7 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
             tau_attr = (tune_thresholds(valid_pairs, s_attr.data) if sweep
                         else settings.thresholds.tau_e_attr)
             used["tau_e_attr"] = tau_attr
-            attr_inf = infer_from_attribute_view(s_attr, store, candidates, tau_attr,
+            attr_inf = infer_from_attribute_view(s_attr, store, tau_attr,
                                                  settings.thresholds.tau_v,
                                                  g, g2, values_left, values_right)
             timings["attribute_inference"] = time.perf_counter() - tick
@@ -362,10 +360,13 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
             tau_rel = (tune_thresholds(valid_pairs, s_rel.data) if sweep
                        else settings.thresholds.tau_e_rel)
             used["tau_e_rel"] = tau_rel
-            exclude = ((attr_inf.entities.left_entities(), attr_inf.entities.right_entities())
-                       if mode == "M1" else ((), ()))
-            rel_list = infer_entity_pairs(s_rel.data, candidates, tau_rel, *exclude)
-            new_rel_pairs = infer_relation_pairs(rel_scores, settings.thresholds.tau_r, store)
+            rel_taken = (taken_left, taken_right)
+            if mode == "M1":  # the attribute view's proposals count as taken
+                rel_taken = (taken_left | attr_inf.entities.left_entities(),
+                             taken_right | attr_inf.entities.right_entities())
+            rel_list = infer_entity_pairs(s_rel.data, tau_rel, *rel_taken)
+            new_rel_pairs = infer_entity_pairs(rel_scores, settings.thresholds.tau_r,
+                                               *store.taken_relations()).pairs
             timings["relationship_inference"] = time.perf_counter() - tick
 
         tick = time.perf_counter()
@@ -377,11 +378,8 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
             entries = merge_rank(attr_inf.entities, rel_list)
         timings["merge"] = time.perf_counter() - tick
 
-        new_ent = 0
-        for m, n, provenance in entries:
-            if store.add_ent_pair(m, n, provenance):
-                candidates.consume(m, n)
-                new_ent += 1
+        overlap = sum(m in taken_left or n in taken_right for m, n, _ in entries)
+        new_ent = sum(store.add_ent_pair(m, n, provenance) for m, n, provenance in entries)
         new_attr = sum(store.add_attr_pair(a, b, PROV_ATTR)
                        for a, b, _ in attr_inf.attribute_pairs)
         new_rel = sum(store.add_rel_pair(a, b, PROV_REL) for a, b, _ in new_rel_pairs)
@@ -389,8 +387,6 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
                       for v, w in sorted(attr_inf.value_pairs,
                                          key=lambda p: (p[0].raw, p[1].raw)))
 
-        overlap = (len(candidates.free_left & store.aligned_left_entities())
-                   + len(candidates.free_right & store.aligned_right_entities()))
         counts = {
             "new_ent_attr": len(attr_inf.entities),
             "new_ent_rel": len(rel_list),

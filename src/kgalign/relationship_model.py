@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kg import AlignmentStore, KnowledgeGraph, greedy_one_to_one
+from .kg import AlignmentStore, KnowledgeGraph
 from .attribute_model import SimilarityMatrix
 
 LOG = logging.getLogger(__name__)
@@ -277,15 +277,6 @@ def relation_similarity(table: EmbeddingTable) -> np.ndarray:
     """
     rel = table.rel / np.maximum(np.linalg.norm(table.rel, axis=1, keepdims=True), 1e-12)
     return rel[:table.rel_split] @ rel[table.rel_split:].T
-
-
-def infer_relation_pairs(rel_scores: np.ndarray, tau_r: float,
-                         store: AlignmentStore) -> list[tuple[int, int, float]]:
-    """Relation pairs above the threshold, one-to-one against the store."""
-    rows, cols = np.nonzero(rel_scores > tau_r)
-    scored = [(int(a), int(b), float(rel_scores[a, b])) for a, b in zip(rows, cols)]
-    taken_left, taken_right = store.taken_relations()
-    return greedy_one_to_one(scored, taken_left, taken_right)
 
 
 def export_embeddings(vectors: np.ndarray, labels, path) -> None:

@@ -16,7 +16,6 @@ from kgalign.attribute_model import (
     entity_similarity_attr,
 )
 from kgalign.kg import (
-    CandidateSet,
     RankedAlignmentList,
     ValueText,
     build_initial_seeds,
@@ -269,7 +268,7 @@ def test_merge_strategy_unit_suite():
     # sequential: the attribute view consumes entity 0 before the
     # relationship view may propose (0, 1)
     attr = RankedAlignmentList([(0, 0, 0.9)])
-    rel = infer_entity_pairs(np.array([[0.0, 0.95]]), CandidateSet({0}, {0, 1}), 0.5,
+    rel = infer_entity_pairs(np.array([[0.0, 0.95]]), 0.5,
                              attr.left_entities(), attr.right_entities())
     entries = merge_standard(attr, rel)
     ok = ok and [(m, n) for m, n, _ in entries] == [(0, 0)]

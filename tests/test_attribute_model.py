@@ -22,7 +22,6 @@ from kgalign.attribute_model import (
 )
 from kgalign.kg import (
     AlignmentStore,
-    CandidateSet,
     FrequentAttributes,
     KnowledgeGraph,
     top_m_attr_slots,
@@ -341,8 +340,7 @@ class TestAttributeInference:
         sl = build_attr_slot_matrix(vl, unification, "left")
         sr = build_attr_slot_matrix(vr, unification, "right")
         s = entity_similarity_attr(vl, vr, sl, sr)
-        cands = CandidateSet.from_graphs(g, g2, store)
-        return infer_from_attribute_view(s, store, cands, tau_e, tau_v, g, g2, vl, vr), s
+        return infer_from_attribute_view(s, store, tau_e, tau_v, g, g2, vl, vr), s
 
     def test_threshold_rule_single_entry(self):
         g, g2, store = make_aligned_pair()

@@ -164,6 +164,18 @@ class TestAlign:
         assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
         assert f"{key} must be >= 1, got 0" in caplog.text
 
+    @pytest.mark.parametrize("eval_ks", [(), (0,), (1, -1)])
+    def test_bad_eval_ks_exits_two_before_loading(self, dataset, tmp_path, caplog,
+                                                  monkeypatch, eval_ks):
+        def fail(*args, **kwargs):
+            raise AssertionError("load_graph called")
+
+        monkeypatch.setattr(cli, "load_graph", fail)
+        cfg = config_for(dataset, tmp_path / "out", eval_ks=eval_ks)
+        write_config(cfg, tmp_path / "c.ini")
+        assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
+        assert "eval_ks: ks must be one or more integers >= 1" in caplog.text
+
     def test_zero_threads_exit_two(self, dataset, tmp_path, caplog):
         cfg = config_for(dataset, tmp_path / "out")
         write_config(cfg, tmp_path / "c.ini")
@@ -302,6 +314,15 @@ class TestEval:
         assert cli.main(["eval", "--matrix", str(tmp_path / "s.bin"),
                          "--test", str(tmp_path / "t.tsv")]) == 2
         assert f"{tmp_path / 't.tsv'}:{lineno}:" in caplog.text
+
+    @pytest.mark.parametrize("ks", ["0", "", "1,0"])
+    def test_empty_or_nonpositive_ks_exit_two(self, tmp_path, capsys, caplog, ks):
+        write_similarity_dump(SimilarityMatrix(np.eye(2), "merged"), tmp_path / "s.bin")
+        (tmp_path / "t.tsv").write_text("0\t0\n")
+        assert cli.main(["eval", "--matrix", str(tmp_path / "s.bin"),
+                         "--test", str(tmp_path / "t.tsv"), "--ks", ks]) == 2
+        assert capsys.readouterr().out == ""
+        assert "ks must be one or more integers >= 1" in caplog.text
 
     def test_bad_dump_exit_two(self, tmp_path):
         (tmp_path / "s.bin").write_bytes(b"\x00\x01")

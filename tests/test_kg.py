@@ -2,18 +2,19 @@
 
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from kgalign.kg import (
     AlignmentStore,
-    CandidateSet,
     KnowledgeGraph,
     ParseError,
     ValueText,
     build_initial_seeds,
     frequent_attributes,
     greedy_one_to_one,
+    infer_entity_pairs,
     load_graph,
     tokenize,
     top_m_attr_slots,
@@ -310,9 +311,19 @@ class TestAlignmentStore:
     def test_copy_is_independent(self):
         store = AlignmentStore()
         store.add_ent_pair(0, 0, "seed")
+        store.add_rel_pair(0, 0, "seed")
+        store.add_attr_pair(0, 0, "seed")
+        store.add_val_pair(ValueText.from_raw("x"), ValueText.from_raw("y"), "seed")
+        before = {name: value.copy() for name, value in vars(store).items()}
         dup = store.copy()
         dup.add_ent_pair(1, 1, "merged")
+        dup.add_rel_pair(1, 1, "relationship-view")
+        dup.add_attr_pair(1, 1, "attribute-view")
+        dup.add_val_pair(ValueText.from_raw("u"), ValueText.from_raw("w"), "attribute-view")
+        dup.provenance[("ent", 0, 0)] = "merged"
         assert (1, 1) not in store.ent_pairs
+        assert vars(store) == before
+        assert dup.size() == store.size() + 4
 
     def test_value_pairs_deduplicate(self):
         store = AlignmentStore()
@@ -320,20 +331,6 @@ class TestAlignmentStore:
         w = ValueText.from_raw("y")
         assert store.add_val_pair(v, w, "seed")
         assert not store.add_val_pair(v, w, "seed")
-
-
-class TestCandidateSet:
-    def test_consume_keeps_pool_disjoint_from_store(self):
-        g = KnowledgeGraph([("e0", "r", "e1"), ("e1", "r", "e2")], [])
-        g2 = KnowledgeGraph([("f0", "r", "f1"), ("f1", "r", "f2")], [])
-        store = AlignmentStore()
-        store.add_ent_pair(0, 0, "seed")
-        cands = CandidateSet.from_graphs(g, g2, store)
-        assert not cands.contains(0, 1)
-        assert cands.contains(1, 1)
-        cands.consume(1, 1)
-        assert not cands.contains(1, 2)
-        assert 1 not in cands.free_left and 1 not in cands.free_right
 
 
 class TestGreedyOneToOne:
@@ -379,3 +376,18 @@ class TestGreedyOneToOne:
         permuted = list(scored)
         rnd.shuffle(permuted)
         assert greedy_one_to_one(permuted, taken_l, taken_r, **keyed) == out
+
+
+class TestInferEntityPairs:
+    @given(st.lists(st.lists(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 0.5, 1.0]),
+                             min_size=4, max_size=4), min_size=1, max_size=5),
+           st.sampled_from([-1.0, 0.0, 0.5]),
+           st.sets(st.integers(0, 4)), st.sets(st.integers(0, 3)))
+    def test_equals_greedy_over_all_cells_above_threshold(self, rows, tau, taken_l, taken_r):
+        scores = np.array(rows)
+        above = [(m, n, float(scores[m, n])) for m in range(scores.shape[0])
+                 for n in range(scores.shape[1]) if scores[m, n] > tau]
+        out = infer_entity_pairs(scores, tau, taken_l, taken_r).pairs
+        assert out == greedy_one_to_one(above, taken_l, taken_r)
+        assert not {m for m, _, _ in out} & taken_l
+        assert not {n for _, n, _ in out} & taken_r

@@ -80,6 +80,11 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(np.eye(2), [])
 
+    @pytest.mark.parametrize("ks", [(), (0,), (1, -1)])
+    def test_empty_or_nonpositive_ks_rejected(self, ks):
+        with pytest.raises(ValueError, match="ks must be one or more integers >= 1"):
+            evaluate(np.eye(2), [(0, 0)], ks=ks)
+
     def test_report_json(self):
         report = EvalReport({1: 0.5, 10: 1.0}, 0.75, 2, "merged")
         payload = json.loads(report.to_json())

@@ -11,7 +11,6 @@ from hypothesis import example, given, strategies as st
 from kgalign.kg import (
     PROV_ATTR,
     PROV_REL,
-    CandidateSet,
     KnowledgeGraph,
     RankedAlignmentList,
     build_initial_seeds,
@@ -42,8 +41,7 @@ class TestMergeStandard:
         # the relationship view would have proposed (0, 1), but 0 is gone
         scores = np.zeros((3, 3))
         scores[0, 1], scores[2, 2] = 0.95, 0.8
-        rel_list = infer_entity_pairs(scores, CandidateSet(range(3), range(3)), 0.5,
-                                      attr.left_entities(), attr.right_entities())
+        rel_list = infer_entity_pairs(scores, 0.5, attr.left_entities(), attr.right_entities())
         entries = merge_standard(attr, rel_list)
         assert [(m, n) for m, n, _ in entries] == [(0, 0), (2, 2)]
         assert len(rel_list) == 1
@@ -448,6 +446,16 @@ class TestRunPipeline:
         settings = settings_for_tests(views="attr", thresholds=Thresholds(tuning="fixed"))
         with pytest.raises(ValueError, match="tau_e_attr is unset"):
             run_pipeline(g, g2, seeds, settings, max_iterations=1)
+
+    def test_merged_entry_on_aligned_entity_counts_as_overlap(self, monkeypatch):
+        # The store refuses the pair, but the record must still show the fault.
+        monkeypatch.setattr(pipeline, "merge_rank", lambda attr, rel: [(0, 1, PROV_REL)])
+        g, g2 = identical_graphs()
+        seeds = build_initial_seeds(g, g2, [("e0", "f0")])
+        result = run_pipeline(g, g2, seeds, settings_for_tests(), merge_mode="M3",
+                              max_iterations=1)
+        assert result.records[0].candidate_overlap == 1
+        assert result.records[0].counts["merged"] == 0
 
     def test_discovers_renamed_attributes_and_relations(self):
         # rename half the right-side labels so same-name seeding misses

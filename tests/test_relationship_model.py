@@ -6,13 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from kgalign.kg import AlignmentStore, CandidateSet, KnowledgeGraph, infer_entity_pairs
+from kgalign.kg import AlignmentStore, KnowledgeGraph, infer_entity_pairs
 from kgalign.relationship_model import (
     EmbeddingTable,
     TrainConfig,
     _is_positive,
     entity_similarity_rel,
-    infer_relation_pairs,
     minibatch_loss_and_grad,
     swap_triplets,
     train_transe,
@@ -353,32 +352,27 @@ class TestSimilarity:
 
 
 class TestRelationshipInference:
-    def candidates(self, n=3):
-        g = KnowledgeGraph([(f"e{i}", "r", f"e{(i + 1) % n}") for i in range(n)], [])
-        g2 = KnowledgeGraph([(f"f{i}", "s", f"f{(i + 1) % n}") for i in range(n)], [])
-        return CandidateSet.from_graphs(g, g2, AlignmentStore())
-
     def test_threshold(self):
         scores = np.array([[0.95, 0.1, 0.1], [0.1, 0.2, 0.1], [0.1, 0.1, 0.3]])
-        ents = infer_entity_pairs(scores, self.candidates(), 0.9)
+        ents = infer_entity_pairs(scores, 0.9)
         assert [(m, n) for m, n, _ in ents.pairs] == [(0, 0)]
-        assert infer_relation_pairs(np.zeros((1, 1)), 0.9, AlignmentStore()) == []
+        assert infer_entity_pairs(np.zeros((1, 1)), 0.9).pairs == []
 
     def test_one_to_one_keeps_best(self):
         scores = np.array([[0.95, 0.93], [0.1, 0.1]])
-        ents = infer_entity_pairs(scores, self.candidates(2), 0.9)
+        ents = infer_entity_pairs(scores, 0.9)
         assert [(m, n) for m, n, _ in ents.pairs] == [(0, 0)]
 
     def test_all_below_threshold_empty(self):
-        ents = infer_entity_pairs(np.full((3, 3), 0.5), self.candidates(), 0.9)
-        rels = infer_relation_pairs(np.full((2, 2), 0.5), 0.9, AlignmentStore())
+        ents = infer_entity_pairs(np.full((3, 3), 0.5), 0.9)
+        rels = infer_entity_pairs(np.full((2, 2), 0.5), 0.9).pairs
         assert len(ents) == 0 and rels == []
 
     def test_relation_pairs_respect_store(self):
         store = AlignmentStore()
         store.add_rel_pair(0, 0, "seed")
         scores = np.array([[0.99, 0.95], [0.96, 0.94]])
-        pairs = infer_relation_pairs(scores, 0.9, store)
+        pairs = infer_entity_pairs(scores, 0.9, *store.taken_relations()).pairs
         # relation 0 on both sides is taken, so only (1, 1) can be added
         assert [(a, b) for a, b, _ in pairs] == [(1, 1)]
 
