@@ -7,10 +7,8 @@ structure-embedding view inside an iterative bootstrap.
 
 from .kg import (
     AlignmentStore,
-    FrequentAttributes,
     KnowledgeGraph,
     ParseError,
-    RankedAlignmentList,
     ValueText,
     build_initial_seeds,
     frequent_attributes,
@@ -25,11 +23,9 @@ from .translator import (
     translate_tokens,
 )
 from .attribute_model import (
-    AttributeSlotMatrix,
     SimilarityMatrix,
     ValueEmbeddingMatrix,
     build_attr_slot_matrix,
-    build_attribute_unification,
     build_value_matrix,
     entity_similarity_attr,
     infer_from_attribute_view,

@@ -2,11 +2,13 @@
 
 Each entity contributes up to ``m_slots`` frequent-attribute value
 embeddings.  The entity-pair score sums the dot products of all slot pairs
-whose attributes carry the same unified identification; slots of unaligned
-attributes never interact.  The full 4-d slot-pair tensor is never
-materialized: because the mask keeps only equal identifications and dot
-products are bilinear, grouping slots by identification and multiplying the
-per-entity aggregates is exactly equivalent.
+whose attributes are aligned; slots of unaligned attributes never interact.
+Each slot is identified by a right-graph attribute: a right slot by its own,
+a left slot by the one its attribute is aligned to (-1 when it has none).
+The full 4-d slot-pair tensor is never materialized: because the mask keeps
+only equal identifications and dot products are bilinear, grouping slots by
+identification and multiplying the per-entity aggregates is exactly
+equivalent.
 
 Memory: besides its N x N' float64 output, ``entity_similarity_attr`` holds
 the right graph's per-group aggregates (at most N' * m_slots * D floats) and,
@@ -27,9 +29,7 @@ import numpy as np
 
 from .kg import (
     AlignmentStore,
-    FrequentAttributes,
     KnowledgeGraph,
-    RankedAlignmentList,
     ValueText,
     cooccurring_values,
     greedy_one_to_one,
@@ -86,38 +86,6 @@ class ValueEmbeddingMatrix:
     slots: list[list[tuple[int, ValueText]]]  # (attribute id, value) behind each slot
 
 
-@dataclass
-class AttributeSlotMatrix:
-    """Unified attribute identification per slot, -1 for padding."""
-
-    ids: np.ndarray
-
-
-@dataclass(frozen=True)
-class AttributeUnification:
-    """Stable identifications over the united frequent attributes.
-
-    Every frequent attribute starts with its own identification (left block
-    first, then right block).  Aligning a pair rewrites the left attribute's
-    identification to the right one's, so adding a pair changes exactly the
-    slots of that attribute and nothing else.
-    """
-
-    left_ids: dict[int, int]
-    right_ids: dict[int, int]
-
-
-def build_attribute_unification(frequent: FrequentAttributes, attr_pairs) -> AttributeUnification:
-    left_sorted = sorted(frequent.left)
-    right_sorted = sorted(frequent.right)
-    left_ids = {a: i for i, a in enumerate(left_sorted)}
-    right_ids = {a: len(left_sorted) + i for i, a in enumerate(right_sorted)}
-    for left, right in sorted(attr_pairs):
-        if left in left_ids and right in right_ids:
-            left_ids[left] = right_ids[right]
-    return AttributeUnification(left_ids, right_ids)
-
-
 def build_value_matrix(g: KnowledgeGraph, table, provider: WordVectorProvider,
                        m_slots: int, frequent: frozenset[int]) -> ValueEmbeddingMatrix:
     """Slot embeddings for one graph; left-graph values are translated first.
@@ -141,29 +109,26 @@ def build_value_matrix(g: KnowledgeGraph, table, provider: WordVectorProvider,
     return ValueEmbeddingMatrix(data, slot_count, slots)
 
 
-def build_attr_slot_matrix(values: ValueEmbeddingMatrix, unification: AttributeUnification,
-                           side: str) -> AttributeSlotMatrix:
-    """Unified identification per slot of one graph side ("left" or "right").
+def build_attr_slot_matrix(values: ValueEmbeddingMatrix, ident_of: dict[int, int]) -> np.ndarray:
+    """Identification per slot of one graph: ``ident_of[attribute]``, or -1
+    for padding and for an attribute ``ident_of`` lacks.
 
-    The slots are the ones ``values`` was built from, so both matrices index
+    The slots are the ones ``values`` was built from, so both arrays index
     the same (entity, slot) cells.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    mapping = unification.left_ids if side == "left" else unification.right_ids
     ids = np.full(values.data.shape[:2], -1, dtype=np.int64)
     for entity, chosen in enumerate(values.slots):
         for i, (attr, _) in enumerate(chosen):
-            ids[entity, i] = mapping[attr]
-    return AttributeSlotMatrix(ids)
+            ids[entity, i] = ident_of.get(attr, -1)
+    return ids
 
 
 def _check_shapes(values_left, values_right, slots_left, slots_right):
     if values_left.data.shape[2] != values_right.data.shape[2]:
         raise ValueError("embedding dimensions differ between the two graphs")
-    if values_left.data.shape[:2] != slots_left.ids.shape:
+    if values_left.data.shape[:2] != slots_left.shape:
         raise ValueError("left value and identification shapes differ")
-    if values_right.data.shape[:2] != slots_right.ids.shape:
+    if values_right.data.shape[:2] != slots_right.shape:
         raise ValueError("right value and identification shapes differ")
 
 
@@ -183,33 +148,34 @@ def _cells(rows: np.ndarray, cols: np.ndarray, shape) -> tuple:
 
 def entity_similarity_attr(values_left: ValueEmbeddingMatrix,
                            values_right: ValueEmbeddingMatrix,
-                           slots_left: AttributeSlotMatrix,
-                           slots_right: AttributeSlotMatrix,
+                           slots_left: np.ndarray,
+                           slots_right: np.ndarray,
                            block_size: int = 1024,
                            workers: int = 1) -> SimilarityMatrix:
     """Entity scores: sum of slot-pair dot products over equal identifications.
 
     Computed per identification group as aggregate matrix products, blockwise
-    over left-entity rows.  The result is bitwise independent of the worker
-    count because each block is written by exactly one worker and the
-    within-block summation order is fixed.
+    over left-entity rows and added in ascending identification order.  The
+    result is bitwise independent of the worker count because each block is
+    written by exactly one worker and the within-block summation order is
+    fixed.
     """
     _check_shapes(values_left, values_right, slots_left, slots_right)
     n = values_left.data.shape[0]
     n2 = values_right.data.shape[0]
-    shared = sorted(set(np.unique(slots_left.ids)) & set(np.unique(slots_right.ids)) - {-1})
+    shared = sorted(set(np.unique(slots_left)) & set(np.unique(slots_right)) - {-1})
     scores = np.zeros((n, n2))
 
     right_groups = []
     for ident in shared:
-        mask = slots_right.ids == ident
+        mask = slots_right == ident
         cols = np.nonzero(mask.any(axis=1))[0]
         agg = (values_right.data[cols] * mask[cols][:, :, None]).sum(axis=1)
         right_groups.append((ident, cols, agg))
 
     def fill_block(start: int) -> None:
         stop = min(start + block_size, n)
-        ids_block = slots_left.ids[start:stop]
+        ids_block = slots_left[start:stop]
         data_block = values_left.data[start:stop]
         out = scores[start:stop]
         for ident, cols, right_agg in right_groups:
@@ -229,7 +195,7 @@ def entity_similarity_attr(values_left: ValueEmbeddingMatrix,
 class AttributeInference:
     """New alignments proposed by the attribute view in one iteration."""
 
-    entities: RankedAlignmentList
+    entities: list[tuple[int, int, float]]  # (left, right, score), descending score
     attribute_pairs: list[tuple[int, int, float]]
     value_pairs: set[tuple[ValueText, ValueText]]
 
@@ -249,7 +215,7 @@ def infer_from_attribute_view(s_attr: SimilarityMatrix, store: AlignmentStore,
     attribute are both aligned.
     """
     entities = infer_entity_pairs(s_attr.data, tau_e_attr, *store.taken_entities())
-    known_pairs = sorted(store.ent_pairs | {(m, n) for m, n, _ in entities.pairs})
+    known_pairs = sorted(store.ent_pairs | {(m, n) for m, n, _ in entities})
 
     proposals: dict[tuple[int, int], float] = {}
     for left, right in known_pairs:

@@ -117,8 +117,12 @@ class PipelineConfig:
                 raise ConfigError(f"config is missing required path {name!r}")
             if not Path(value).is_file():
                 raise ConfigError(f"missing triple file: {value}")
-        presplit = all((self.ill_train, self.ill_valid, self.ill_test))
-        if not presplit and not self.ill:
+        split = ("ill_train", "ill_valid", "ill_test")
+        unset = [name for name in split if not getattr(self, name)]
+        if unset and len(unset) < len(split):
+            raise ConfigError("ill_train, ill_valid and ill_test are set together or not at "
+                              f"all; missing {', '.join(map(repr, unset))}")
+        if unset and not self.ill:
             raise ConfigError("config needs either 'ill' or all of ill_train/ill_valid/ill_test")
         for name in ("ill", "ill_train", "ill_valid", "ill_test"):
             value = getattr(self, name)
@@ -183,13 +187,17 @@ def _pair_lines(path):
 
 
 def _read_pairs(path, g, g2) -> list[tuple[str, str]]:
-    """Entity label pairs of an ILL file; each label must name an entity of its graph."""
+    """Entity label pairs of an ILL file; each label must name an entity of its
+    graph and have one counterpart in the file (a repeated line is fine)."""
     pairs = []
+    linked: dict[tuple[str, str], str] = {}  # (side, label) -> first counterpart
     for lineno, left, right in _pair_lines(path):
-        if not g.has_entity(left):
-            raise ParseError(path, lineno, f"unknown left entity {left!r}")
-        if not g2.has_entity(right):
-            raise ParseError(path, lineno, f"unknown right entity {right!r}")
+        for side, graph, label, other in (("left", g, left, right), ("right", g2, right, left)):
+            if not graph.has_entity(label):
+                raise ParseError(path, lineno, f"unknown {side} entity {label!r}")
+            if linked.setdefault((side, label), other) != other:
+                raise ParseError(path, lineno, f"{side} entity {label!r} is already linked "
+                                               f"to {linked[side, label]!r}")
         pairs.append((left, right))
     return pairs
 

@@ -196,21 +196,11 @@ def load_graph(rel_path, attr_path) -> KnowledgeGraph:
     return KnowledgeGraph(_read_triple_file(rel_path), _read_triple_file(attr_path))
 
 
-@dataclass(frozen=True)
-class FrequentAttributes:
-    """Attributes occurring more than ``min_count`` times, per graph side."""
-
-    left: frozenset[int]
-    right: frozenset[int]
-
-
-def frequent_attributes(g: KnowledgeGraph, g2: KnowledgeGraph, min_count: int) -> FrequentAttributes:
-    """Attributes whose triple count strictly exceeds ``min_count``."""
+def frequent_attributes(g: KnowledgeGraph, min_count: int) -> frozenset[int]:
+    """Attributes of ``g`` whose triple count strictly exceeds ``min_count``."""
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    left = frozenset(a for a, c in g.attribute_counts.items() if c > min_count)
-    right = frozenset(a for a, c in g2.attribute_counts.items() if c > min_count)
-    return FrequentAttributes(left, right)
+    return frozenset(a for a, c in g.attribute_counts.items() if c > min_count)
 
 
 def top_m_attr_slots(g: KnowledgeGraph, entity: int, m_slots: int,
@@ -302,29 +292,6 @@ class AlignmentStore:
         return dup
 
 
-@dataclass
-class RankedAlignmentList:
-    """One view's accepted entity pairs, descending by score (1-based ranks)."""
-
-    pairs: list[tuple[int, int, float]]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def left_entities(self) -> set[int]:
-        return {m for m, _, _ in self.pairs}
-
-    def right_entities(self) -> set[int]:
-        return {n for _, n, _ in self.pairs}
-
-    def rank_ratios(self) -> dict[tuple[int, int], float]:
-        total = len(self.pairs)
-        return {(m, n): (idx + 1) / total for idx, (m, n, _) in enumerate(self.pairs)}
-
-    def scores(self) -> dict[tuple[int, int], float]:
-        return {(m, n): s for m, n, s in self.pairs}
-
-
 def greedy_one_to_one(scored, taken_left=(), taken_right=(),
                       key=lambda row: (-row[2], row[0], row[1])) -> list[tuple]:
     """Accept rows in ``key`` order, skipping consumed endpoints.
@@ -348,15 +315,15 @@ def greedy_one_to_one(scored, taken_left=(), taken_right=(),
 
 
 def infer_entity_pairs(scores: np.ndarray, threshold: float,
-                       taken_left=(), taken_right=()) -> RankedAlignmentList:
+                       taken_left=(), taken_right=()) -> list[tuple[int, int, float]]:
     """Cells of an entity or relation score matrix strictly above the threshold,
-    one-to-one reduced; a cell whose row or column is taken is dropped before
-    the sort."""
+    one-to-one reduced, as (left, right, score) rows by descending score; a cell
+    whose row or column is taken is dropped before the sort."""
     rows, cols = np.nonzero(scores > threshold)
     scored = [(m, n, float(scores[m, n]))
               for m, n in zip(rows.tolist(), cols.tolist())
               if m not in taken_left and n not in taken_right]
-    return RankedAlignmentList(greedy_one_to_one(scored))
+    return greedy_one_to_one(scored)
 
 
 def _same_name_pairs(labels_left, labels_right) -> list[tuple[int, int]]:

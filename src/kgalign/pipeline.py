@@ -23,7 +23,6 @@ from .attribute_model import (
     SimilarityMatrix,
     ValueEmbeddingMatrix,
     build_attr_slot_matrix,
-    build_attribute_unification,
     build_value_matrix,
     entity_similarity_attr,
     infer_from_attribute_view,
@@ -34,7 +33,6 @@ from .kg import (
     PROV_REL,
     AlignmentStore,
     KnowledgeGraph,
-    RankedAlignmentList,
     frequent_attributes,
     greedy_one_to_one,
     infer_entity_pairs,
@@ -179,13 +177,14 @@ def tune_thresholds(valid_pairs, scores) -> float:
     return float(best[2])
 
 
-def merge_standard(attr_list: RankedAlignmentList, rel_list: RankedAlignmentList):
+def merge_standard(attr_list, rel_list):
     """Sequential co-training merge: the attribute view's pairs, then the
     relationship view's, which must have been inferred without the attribute
-    view's entities.  Each entry is (left, right, provenance).
+    view's entities.  Each list holds (left, right, score) rows as
+    ``infer_entity_pairs`` ranks them; each entry is (left, right, provenance).
     """
-    return ([(m, n, PROV_ATTR) for m, n, _ in attr_list.pairs]
-            + [(m, n, PROV_REL) for m, n, _ in rel_list.pairs])
+    return ([(m, n, PROV_ATTR) for m, n, _ in attr_list]
+            + [(m, n, PROV_REL) for m, n, _ in rel_list])
 
 
 def _with_provenance(rows, from_attr, from_rel):
@@ -200,16 +199,15 @@ def _with_provenance(rows, from_attr, from_rel):
     return entries
 
 
-def merge_score(attr_list: RankedAlignmentList, rel_list: RankedAlignmentList,
-                s_attr: np.ndarray, s_rel: np.ndarray):
+def merge_score(attr_list, rel_list, s_attr: np.ndarray, s_rel: np.ndarray):
     """Conflicts keep the counterpart with the larger summed score.
 
     Pairs proposed by both views count once.  Ties break by higher
     attribute score, then higher relationship score, then the smaller
     (left, right); the result is one-to-one.
     """
-    from_attr = {(m, n) for m, n, _ in attr_list.pairs}
-    from_rel = {(m, n) for m, n, _ in rel_list.pairs}
+    from_attr = {(m, n) for m, n, _ in attr_list}
+    from_rel = {(m, n) for m, n, _ in rel_list}
     rows = []
     for m, n in sorted(from_attr | from_rel):
         sa = float(s_attr[m, n])
@@ -219,7 +217,7 @@ def merge_score(attr_list: RankedAlignmentList, rel_list: RankedAlignmentList,
     return _with_provenance(chosen, from_attr, from_rel)
 
 
-def merge_rank(attr_list: RankedAlignmentList, rel_list: RankedAlignmentList):
+def merge_rank(attr_list, rel_list):
     """Conflicts keep the counterpart with the smaller normalized rank ratio
     (1-based rank divided by the proposing list's size; the minimum when a
     pair appears in both lists).
@@ -228,10 +226,11 @@ def merge_rank(attr_list: RankedAlignmentList, rel_list: RankedAlignmentList):
     score (a score missing from a view counts as -inf), then the smaller
     (left, right); the result is one-to-one.
     """
-    ratios_attr = attr_list.rank_ratios()
-    ratios_rel = rel_list.rank_ratios()
-    scores_attr = attr_list.scores()
-    scores_rel = rel_list.scores()
+    views = (attr_list, rel_list)
+    ratios_attr, ratios_rel = (
+        {(m, n): (idx + 1) / len(ranked) for idx, (m, n, _) in enumerate(ranked)}
+        for ranked in views)
+    scores_attr, scores_rel = ({(m, n): s for m, n, s in ranked} for ranked in views)
     rows = []
     for pair in sorted(set(ratios_attr) | set(ratios_rel)):
         ratio = min(ratios_attr.get(pair, np.inf), ratios_rel.get(pair, np.inf))
@@ -276,7 +275,8 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
     settings = settings or PipelineSettings()
     sweep = check_thresholds(settings, valid_pairs)
     store = seeds.copy()
-    frequent = frequent_attributes(g, g2, settings.min_count)
+    frequent_left = frequent_attributes(g, settings.min_count)
+    frequent_right = frequent_attributes(g2, settings.min_count)
     provider = WordVectorProvider(settings.value_dim)
     use_attr = settings.views in ("both", "attr")
     use_rel = settings.views in ("both", "rel")
@@ -285,6 +285,7 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
     table: TranslationTable | None = None
     values_left: ValueEmbeddingMatrix | None = None
     values_right: ValueEmbeddingMatrix | None = None
+    slots_right: np.ndarray | None = None
     embeddings: EmbeddingTable | None = None
     s_attr: SimilarityMatrix | None = None
     s_rel: SimilarityMatrix | None = None
@@ -298,8 +299,8 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
         taken_left, taken_right = store.taken_entities()
         timings: dict[str, float] = {}
         used: dict[str, float] = {}
-        attr_inf = AttributeInference(RankedAlignmentList([]), [], set())
-        rel_list = RankedAlignmentList([])
+        attr_inf = AttributeInference([], [], set())
+        rel_list: list = []
         new_rel_pairs: list = []
         transe_summary: dict = {}
         translator_summary: dict = {}
@@ -325,13 +326,14 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
             if retrain:
                 values_left = None  # likewise released before its rebuild
                 values_left = build_value_matrix(g, table, provider, settings.m_slots,
-                                                 frequent.left)
+                                                 frequent_left)
             if values_right is None:
                 values_right = build_value_matrix(g2, None, provider, settings.m_slots,
-                                                  frequent.right)
-            unification = build_attribute_unification(frequent, store.attr_pairs)
-            slots_left = build_attr_slot_matrix(values_left, unification, "left")
-            slots_right = build_attr_slot_matrix(values_right, unification, "right")
+                                                  frequent_right)
+                slots_right = build_attr_slot_matrix(values_right,
+                                                     {a: a for a in frequent_right})
+            # A left slot meets the right slots of the attribute it is aligned to.
+            slots_left = build_attr_slot_matrix(values_left, store.attr_map())
             s_attr = entity_similarity_attr(values_left, values_right, slots_left, slots_right,
                                             workers=settings.workers)
             timings["attribute_scores"] = time.perf_counter() - tick
@@ -362,11 +364,11 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
             used["tau_e_rel"] = tau_rel
             rel_taken = (taken_left, taken_right)
             if mode == "M1":  # the attribute view's proposals count as taken
-                rel_taken = (taken_left | attr_inf.entities.left_entities(),
-                             taken_right | attr_inf.entities.right_entities())
+                rel_taken = (taken_left | {m for m, _, _ in attr_inf.entities},
+                             taken_right | {n for _, n, _ in attr_inf.entities})
             rel_list = infer_entity_pairs(s_rel.data, tau_rel, *rel_taken)
             new_rel_pairs = infer_entity_pairs(rel_scores, settings.thresholds.tau_r,
-                                               *store.taken_relations()).pairs
+                                               *store.taken_relations())
             timings["relationship_inference"] = time.perf_counter() - tick
 
         tick = time.perf_counter()

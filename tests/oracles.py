@@ -64,8 +64,8 @@ def entity_similarity_attr_dense(values_left, values_right, slots_left, slots_ri
     for cross-checking the grouped fast path.
     """
     sims = np.einsum("mid,njd->mnij", values_left.data, values_right.data)
-    ids_l = slots_left.ids[:, None, :, None]
-    ids_r = slots_right.ids[None, :, None, :]
+    ids_l = slots_left[:, None, :, None]
+    ids_r = slots_right[None, :, None, :]
     mask = (ids_l == ids_r) & (ids_l != -1)
     return SimilarityMatrix((sims * mask).sum(axis=(2, 3)), "attribute-view")
 
@@ -77,19 +77,19 @@ def entity_similarity_attr_ix(values_left, values_right, slots_left, slots_right
     sums must agree bit for bit."""
     n = values_left.data.shape[0]
     n2 = values_right.data.shape[0]
-    shared = sorted(set(np.unique(slots_left.ids)) & set(np.unique(slots_right.ids)) - {-1})
+    shared = sorted(set(np.unique(slots_left)) & set(np.unique(slots_right)) - {-1})
     scores = np.zeros((n, n2))
 
     right_groups = []
     for ident in shared:
-        mask = slots_right.ids == ident
+        mask = slots_right == ident
         cols = np.nonzero(mask.any(axis=1))[0]
         agg = (values_right.data[cols] * mask[cols][:, :, None]).sum(axis=1)
         right_groups.append((ident, cols, agg))
 
     def fill_block(start):
         stop = min(start + block_size, n)
-        ids_block = slots_left.ids[start:stop]
+        ids_block = slots_left[start:stop]
         data_block = values_left.data[start:stop]
         for ident, cols, right_agg in right_groups:
             mask = ids_block == ident
@@ -102,6 +102,32 @@ def entity_similarity_attr_ix(values_left, values_right, slots_left, slots_right
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(fill_block, range(0, n, block_size)))
     return scores
+
+
+def unified_slot_ids(values_left, values_right, frequent_left, frequent_right, attr_pairs):
+    """Slot identifications numbered over the united frequent attributes.
+
+    Every frequent attribute starts with its own identification, the left
+    block (sorted) first, then the right block (sorted).  Each aligned pair of
+    frequent attributes rewrites the left one's identification to the right
+    one's.  Returns the (left, right) identification arrays, -1 for padding.
+    """
+    left_sorted = sorted(frequent_left)
+    right_sorted = sorted(frequent_right)
+    left_ids = {a: i for i, a in enumerate(left_sorted)}
+    right_ids = {a: len(left_sorted) + i for i, a in enumerate(right_sorted)}
+    for left, right in sorted(attr_pairs):
+        if left in left_ids and right in right_ids:
+            left_ids[left] = right_ids[right]
+
+    def slot_ids(values, mapping):
+        ids = np.full(values.data.shape[:2], -1, dtype=np.int64)
+        for entity, chosen in enumerate(values.slots):
+            for i, (attr, _) in enumerate(chosen):
+                ids[entity, i] = mapping[attr]
+        return ids
+
+    return slot_ids(values_left, left_ids), slot_ids(values_right, right_ids)
 
 
 def train_translation_loop(pairs, iterations):

@@ -10,13 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from kgalign.attribute_model import (
-    AttributeSlotMatrix,
-    ValueEmbeddingMatrix,
-    entity_similarity_attr,
-)
+from kgalign.attribute_model import ValueEmbeddingMatrix, entity_similarity_attr
 from kgalign.kg import (
-    RankedAlignmentList,
     ValueText,
     build_initial_seeds,
     infer_entity_pairs,
@@ -60,8 +55,7 @@ def tensor_fixtures(count=100, seed=1234):
             vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
             ids = rng.integers(-1, n_ids, size=(count_, m))
             vecs[ids == -1] = 0.0
-            return (ValueEmbeddingMatrix(vecs, (ids != -1).sum(axis=1), []),
-                    AttributeSlotMatrix(ids))
+            return ValueEmbeddingMatrix(vecs, (ids != -1).sum(axis=1), []), ids
 
         vl, il = side(n)
         vr, ir = side(n2)
@@ -73,7 +67,7 @@ def test_tensor_math_oracle():
     worst = 0.0
     for vl, vr, il, ir in tensor_fixtures():
         fast = entity_similarity_attr(vl, vr, il, ir).data
-        expected = brute_force_scores(vl.data, vr.data, il.ids, ir.ids)
+        expected = brute_force_scores(vl.data, vr.data, il, ir)
         worst = max(worst, float(np.abs(fast - expected).max()))
     elapsed = time.perf_counter() - start
     check("tensor-math-oracle", worst <= 1e-6 and elapsed < 10.0,
@@ -267,22 +261,18 @@ def test_merge_strategy_unit_suite():
     ok = True
     # sequential: the attribute view consumes entity 0 before the
     # relationship view may propose (0, 1)
-    attr = RankedAlignmentList([(0, 0, 0.9)])
-    rel = infer_entity_pairs(np.array([[0.0, 0.95]]), 0.5,
-                             attr.left_entities(), attr.right_entities())
+    attr = [(0, 0, 0.9)]
+    rel = infer_entity_pairs(np.array([[0.0, 0.95]]), 0.5, {0}, {0})
     entries = merge_standard(attr, rel)
     ok = ok and [(m, n) for m, n, _ in entries] == [(0, 0)]
 
     # score sum: 0.9 + 0.1 = 1.0 beats 0.2 + 0.7 = 0.9
-    entries = merge_score(RankedAlignmentList([(0, 0, 0.9)]),
-                          RankedAlignmentList([(0, 1, 0.7)]),
+    entries = merge_score([(0, 0, 0.9)], [(0, 1, 0.7)],
                           np.array([[0.9, 0.2]]), np.array([[0.1, 0.7]]))
     ok = ok and [(m, n) for m, n, _ in entries] == [(0, 0)]
 
     # rank ratio: 2/3 beats 1/1
-    entries = merge_rank(
-        RankedAlignmentList([(9, 9, 0.9), (0, 1, 0.8), (8, 8, 0.7)]),
-        RankedAlignmentList([(0, 0, 0.95)]))
+    entries = merge_rank([(9, 9, 0.9), (0, 1, 0.8), (8, 8, 0.7)], [(0, 0, 0.95)])
     pairs = {(m, n) for m, n, _ in entries}
     ok = ok and (0, 1) in pairs and (0, 0) not in pairs
     check("merge-strategy-unit-suite", ok)

@@ -1,5 +1,6 @@
 """Masked slot-pair similarity: construction, fast path, and inference."""
 
+import functools
 import struct
 import tracemalloc
 
@@ -9,11 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from kgalign.attribute_model import (
     _DUMP_ROWS,
-    AttributeSlotMatrix,
     SimilarityMatrix,
     ValueEmbeddingMatrix,
     build_attr_slot_matrix,
-    build_attribute_unification,
     build_value_matrix,
     entity_similarity_attr,
     infer_from_attribute_view,
@@ -22,16 +21,18 @@ from kgalign.attribute_model import (
 )
 from kgalign.kg import (
     AlignmentStore,
-    FrequentAttributes,
     KnowledgeGraph,
+    frequent_attributes,
     top_m_attr_slots,
 )
+from kgalign.synth import SynthSpec, generate_synth
 from kgalign.translator import WordVectorProvider
 from oracles import (
     brute_force_scores,
     embed_value,
     entity_similarity_attr_dense,
     entity_similarity_attr_ix,
+    unified_slot_ids,
 )
 
 
@@ -47,43 +48,96 @@ def random_fixture(rng, n, n2, m, dim, n_ids=4):
     vr, ir = side(n2)
     values_l = ValueEmbeddingMatrix(vl, (il != -1).sum(axis=1), [])
     values_r = ValueEmbeddingMatrix(vr, (ir != -1).sum(axis=1), [])
-    return values_l, values_r, AttributeSlotMatrix(il), AttributeSlotMatrix(ir)
+    return values_l, values_r, il, ir
 
 
-class TestUnification:
-    def freq(self):
-        return FrequentAttributes(frozenset({0, 1, 2}), frozenset({0, 1}))
+def all_attributes(g):
+    return frozenset(range(g.num_attributes))
 
-    def test_no_pairs_all_distinct(self):
-        u = build_attribute_unification(self.freq(), set())
-        assert len(set(u.left_ids.values()) & set(u.right_ids.values())) == 0
-        assert len(set(u.left_ids.values()) | set(u.right_ids.values())) == 5
+
+def own_ids(attributes):
+    """Right-graph identification: each attribute stands for itself."""
+    return {a: a for a in attributes}
+
+
+class TestSlotIdentification:
+    def graphs(self):
+        g = KnowledgeGraph([], [("e0", "a0", "x"), ("e0", "a1", "y"), ("e1", "a1", "z"),
+                                ("e1", "a2", "w")])
+        g2 = KnowledgeGraph([], [("f0", "b0", "x2"), ("f0", "b1", "y2"), ("f1", "b1", "z2")])
+        provider = WordVectorProvider(8)
+        values = build_value_matrix(g, None, provider, 2, all_attributes(g))
+        values2 = build_value_matrix(g2, None, provider, 2, all_attributes(g2))
+        return g, g2, values, values2
+
+    def test_no_pairs_no_shared_identification(self):
+        g, g2, values, values2 = self.graphs()
+        left = build_attr_slot_matrix(values, {})
+        right = build_attr_slot_matrix(values2, own_ids(all_attributes(g2)))
+        np.testing.assert_array_equal(left, -1)
+        for e, chosen in enumerate(values2.slots):
+            assert right[e, :len(chosen)].tolist() == [a for a, _ in chosen]
+        assert set(np.unique(right)) - {-1} == set(all_attributes(g2))
 
     def test_pair_shares_identification(self):
-        u = build_attribute_unification(self.freq(), {(1, 0)})
-        assert u.left_ids[1] == u.right_ids[0]
-        assert len(set(u.left_ids.values()) | set(u.right_ids.values())) == 4
+        g, g2, values, values2 = self.graphs()
+        pair = (g.attribute_id("a1"), g2.attribute_id("b0"))
+        left = build_attr_slot_matrix(values, dict([pair]))
+        right = build_attr_slot_matrix(values2, own_ids(all_attributes(g2)))
+        assert set(np.unique(left)) - {-1} == {pair[1]}
+        assert (set(np.unique(left)) & set(np.unique(right))) - {-1} == {pair[1]}
 
     def test_adding_pair_changes_only_affected_slots(self):
-        rows = [("e0", "a0", "x"), ("e0", "a1", "y"), ("e1", "a1", "z")]
-        g = KnowledgeGraph([], rows)
-        rows2 = [("f0", "b0", "x2"), ("f0", "b1", "y2")]
-        g2 = KnowledgeGraph([], rows2)
-        freq = FrequentAttributes(frozenset(range(g.num_attributes)),
-                                  frozenset(range(g2.num_attributes)))
-        values = build_value_matrix(g, None, WordVectorProvider(8), 2, freq.left)
-        unification = build_attribute_unification(freq, set())
-        before = build_attr_slot_matrix(values, unification, "left")
+        g, g2, values, _ = self.graphs()
+        before = build_attr_slot_matrix(values, {})
         pair = (g.attribute_id("a1"), g2.attribute_id("b0"))
-        after = build_attr_slot_matrix(values, build_attribute_unification(freq, {pair}), "left")
-        changed = before.ids != after.ids
-        slots = [top_m_attr_slots(g, e, 2, freq.left) for e in range(g.num_entities)]
+        after = build_attr_slot_matrix(values, dict([pair]))
+        changed = before != after
+        slots = [top_m_attr_slots(g, e, 2, all_attributes(g)) for e in range(g.num_entities)]
         for e in range(g.num_entities):
             for i in range(2):
                 is_affected = i < len(slots[e]) and slots[e][i][0] == pair[0]
                 assert changed[e, i] == is_affected
-                expected = unification.left_ids[slots[e][i][0]] if i < len(slots[e]) else -1
-                assert before.ids[e, i] == expected
+                assert before[e, i] == -1
+                assert after[e, i] == (pair[1] if is_affected else -1)
+
+
+@functools.lru_cache(maxsize=None)
+def synth_values(seed, min_count, m_slots):
+    """Value matrices and frequent attributes of a small synthetic pair."""
+    result = generate_synth(SynthSpec(n_entities=40, n_attributes=5, drop_prob=0.3,
+                                      rng_seed=seed))
+    provider = WordVectorProvider(8)
+    sides = []
+    for g in (result.left, result.right):
+        frequent = frequent_attributes(g, min_count)
+        sides.append((build_value_matrix(g, None, provider, m_slots, frequent), frequent))
+    return sides
+
+
+class TestNumberingEquivalence:
+    """Keying left slots by the attribute map scores exactly as the united
+    numbering did: both order the shared groups by right attribute id."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2), min_count=st.integers(1, 40), m_slots=st.integers(1, 6),
+           targets=st.permutations(range(6)), kept=st.lists(st.booleans(), min_size=6,
+                                                             max_size=6),
+           block_size=st.integers(1, 48), workers=st.sampled_from([1, 2]))
+    @example(seed=0, min_count=1, m_slots=6, targets=[5, 4, 3, 2, 1, 0], kept=[True] * 6,
+             block_size=16, workers=2)
+    def test_scores_bitwise_equal(self, seed, min_count, m_slots, targets, kept, block_size,
+                                  workers):
+        (values_l, frequent_l), (values_r, frequent_r) = synth_values(seed, min_count, m_slots)
+        # one-to-one, and free to pair attributes that are not frequent
+        attr_map = {a: b for a, (b, keep) in enumerate(zip(targets, kept)) if keep}
+        new = (build_attr_slot_matrix(values_l, attr_map),
+               build_attr_slot_matrix(values_r, own_ids(frequent_r)))
+        old = unified_slot_ids(values_l, values_r, frequent_l, frequent_r, attr_map.items())
+        scores_new = entity_similarity_attr(values_l, values_r, *new, block_size, workers)
+        scores_old = entity_similarity_attr(values_l, values_r, *old, block_size, workers)
+        np.testing.assert_array_equal(scores_new.data.view(np.int64),
+                                      scores_old.data.view(np.int64))
 
 
 class TestBuildValueMatrix:
@@ -120,8 +174,8 @@ class TestEntitySimilarity:
         vec = provider.vector("x")
         values = ValueEmbeddingMatrix(vec.reshape(1, 1, 8).copy(), np.array([1]), [])
         values2 = ValueEmbeddingMatrix(vec.reshape(1, 1, 8).copy(), np.array([1]), [])
-        ids = AttributeSlotMatrix(np.array([[0]]))
-        ids2 = AttributeSlotMatrix(np.array([[0 if same_id else 1]]))
+        ids = np.array([[0]])
+        ids2 = np.array([[0 if same_id else 1]])
         return values, values2, ids, ids2
 
     def test_identical_embeddings_same_id(self):
@@ -136,14 +190,11 @@ class TestEntitySimilarity:
         # without alignments no identification is shared across graphs
         g = KnowledgeGraph([], [("e0", "a0", "same"), ("e1", "a1", "same")])
         g2 = KnowledgeGraph([], [("f0", "b0", "same"), ("f1", "b1", "same")])
-        freq = FrequentAttributes(frozenset(range(g.num_attributes)),
-                                  frozenset(range(g2.num_attributes)))
         provider = WordVectorProvider(16)
-        vl = build_value_matrix(g, None, provider, 2, freq.left)
-        vr = build_value_matrix(g2, None, provider, 2, freq.right)
-        unification = build_attribute_unification(freq, set())
-        sl = build_attr_slot_matrix(vl, unification, "left")
-        sr = build_attr_slot_matrix(vr, unification, "right")
+        vl = build_value_matrix(g, None, provider, 2, all_attributes(g))
+        vr = build_value_matrix(g2, None, provider, 2, all_attributes(g2))
+        sl = build_attr_slot_matrix(vl, {})
+        sr = build_attr_slot_matrix(vr, own_ids(all_attributes(g2)))
         s = entity_similarity_attr(vl, vr, sl, sr)
         np.testing.assert_array_equal(s.data, 0.0)
 
@@ -151,7 +202,7 @@ class TestEntitySimilarity:
         rng = np.random.default_rng(0)
         vl, vr, il, ir = random_fixture(rng, 2, 2, 2, 5)
         fast = entity_similarity_attr(vl, vr, il, ir)
-        expected = brute_force_scores(vl.data, vr.data, il.ids, ir.ids)
+        expected = brute_force_scores(vl.data, vr.data, il, ir)
         np.testing.assert_allclose(fast.data, expected, atol=1e-6)
 
     def test_fast_equals_dense_path(self):
@@ -181,12 +232,8 @@ class TestEntitySimilarity:
         ids_l = np.array([[0, 1]] * 4)
         values_l = ValueEmbeddingMatrix(vl, np.full(4, 2), [])
         values_r = ValueEmbeddingMatrix(vr, np.full(5, 2), [])
-        without = entity_similarity_attr(values_l, values_r,
-                                         AttributeSlotMatrix(ids_l),
-                                         AttributeSlotMatrix(np.array([[2, 1]] * 5)))
-        with_pair = entity_similarity_attr(values_l, values_r,
-                                           AttributeSlotMatrix(ids_l),
-                                           AttributeSlotMatrix(np.array([[0, 1]] * 5)))
+        without = entity_similarity_attr(values_l, values_r, ids_l, np.array([[2, 1]] * 5))
+        with_pair = entity_similarity_attr(values_l, values_r, ids_l, np.array([[0, 1]] * 5))
         assert (with_pair.data >= without.data - 1e-12).all()
 
     def test_slot_permutation_invariance(self):
@@ -195,7 +242,7 @@ class TestEntitySimilarity:
         base = entity_similarity_attr(vl, vr, il, ir)
         perm = rng.permutation(4)
         vl2 = ValueEmbeddingMatrix(vl.data[:, perm], vl.slot_count, [])
-        il2 = AttributeSlotMatrix(il.ids[:, perm])
+        il2 = il[:, perm]
         permuted = entity_similarity_attr(vl2, vr, il2, ir)
         np.testing.assert_allclose(base.data, permuted.data, atol=1e-12)
 
@@ -240,7 +287,7 @@ def layout_fixture(seed, n, n2, modes, dim=3):
         ids = rng.permuted(ids, axis=1)
         vecs = rng.standard_normal((count, m, dim))
         vecs[ids == -1] = 0.0
-        return ValueEmbeddingMatrix(vecs, (ids != -1).sum(axis=1), []), AttributeSlotMatrix(ids)
+        return ValueEmbeddingMatrix(vecs, (ids != -1).sum(axis=1), []), ids
 
     values_l, slots_l = side(n, 0)
     values_r, slots_r = side(n2, 1)
@@ -332,13 +379,10 @@ def make_aligned_pair():
 class TestAttributeInference:
     def build(self, store, g, g2, tau_e=0.5, tau_v=0.8):
         provider = WordVectorProvider(32)
-        freq = FrequentAttributes(frozenset(range(g.num_attributes)),
-                                  frozenset(range(g2.num_attributes)))
-        vl = build_value_matrix(g, None, provider, 3, freq.left)
-        vr = build_value_matrix(g2, None, provider, 3, freq.right)
-        unification = build_attribute_unification(freq, store.attr_pairs)
-        sl = build_attr_slot_matrix(vl, unification, "left")
-        sr = build_attr_slot_matrix(vr, unification, "right")
+        vl = build_value_matrix(g, None, provider, 3, all_attributes(g))
+        vr = build_value_matrix(g2, None, provider, 3, all_attributes(g2))
+        sl = build_attr_slot_matrix(vl, store.attr_map())
+        sr = build_attr_slot_matrix(vr, own_ids(all_attributes(g2)))
         s = entity_similarity_attr(vl, vr, sl, sr)
         return infer_from_attribute_view(s, store, tau_e, tau_v, g, g2, vl, vr), s
 
@@ -346,7 +390,7 @@ class TestAttributeInference:
         g, g2, store = make_aligned_pair()
         inf, s = self.build(store, g, g2, tau_e=0.8)
         # e1/f1 share the value 1990 under the seeded year/jahr pair: 1.0 > 0.8
-        assert [(m, n) for m, n, _ in inf.entities.pairs] == [
+        assert [(m, n) for m, n, _ in inf.entities] == [
             (g.entity_id("e1"), g2.entity_id("f1"))]
 
     def test_threshold_excludes_low_scores(self):

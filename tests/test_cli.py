@@ -10,6 +10,7 @@ import pytest
 
 from kgalign import cli
 from kgalign.attribute_model import SimilarityMatrix, write_similarity_dump
+from kgalign.kg import KnowledgeGraph, ParseError
 from kgalign.pipeline import PipelineSettings, Thresholds
 from kgalign.synth import SynthSpec, generate_synth, write_dataset
 
@@ -176,6 +177,20 @@ class TestAlign:
         assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
         assert "eval_ks: ks must be one or more integers >= 1" in caplog.text
 
+    @pytest.mark.parametrize("unset", [("ill_valid", "ill_test"), ("ill_train",)])
+    def test_partial_presplit_exits_two_before_loading(self, dataset, tmp_path, caplog,
+                                                       monkeypatch, unset):
+        def fail(*args, **kwargs):
+            raise AssertionError("load_graph called")
+
+        monkeypatch.setattr(cli, "load_graph", fail)
+        cfg = config_for(dataset, tmp_path / "out", ill=str(dataset / "ill_ent_pairs"),
+                         **{name: "" for name in unset})
+        write_config(cfg, tmp_path / "c.ini")
+        assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
+        assert ("ill_train, ill_valid and ill_test are set together or not at all; "
+                f"missing {', '.join(map(repr, unset))}") in caplog.text
+
     def test_zero_threads_exit_two(self, dataset, tmp_path, caplog):
         cfg = config_for(dataset, tmp_path / "out")
         write_config(cfg, tmp_path / "c.ini")
@@ -226,6 +241,23 @@ class TestAlign:
         assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
         assert f"{bad}:{len(lines) + 1}: unknown left entity 'nosuch'" in caplog.text
 
+    @pytest.mark.parametrize("name", ["ill_train", "ill_ent_pairs"])
+    def test_link_file_not_one_to_one_exit_two_with_location(self, dataset, tmp_path, caplog,
+                                                             name):
+        bad = tmp_path / name
+        lines = (dataset / name).read_text(encoding="utf-8").splitlines()
+        left, right = lines[0].split("\t")
+        other = lines[1].split("\t")[1]
+        bad.write_text("\n".join(lines + [f"{left}\t{other}"]) + "\n", encoding="utf-8")
+        field = "ill" if name == "ill_ent_pairs" else name
+        cfg = config_for(dataset, tmp_path / "out", **{field: str(bad)})
+        if field == "ill":
+            cfg.ill_train = cfg.ill_valid = cfg.ill_test = ""
+        write_config(cfg, tmp_path / "c.ini")
+        assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
+        assert (f"{bad}:{len(lines) + 1}: left entity {left!r} is already linked "
+                f"to {right!r}") in caplog.text
+
     def test_identical_runs_identical_dumps(self, dataset, tmp_path, capsys):
         for name in ("a", "b"):
             cfg = config_for(dataset, tmp_path / name)
@@ -272,6 +304,24 @@ class TestAlign:
             dumps[mode] = (tmp_path / mode / "alignments.tsv").read_text()
         capsys.readouterr()
         assert dumps["M1"] != dumps["M3"]
+
+
+class TestReadPairs:
+    def graphs(self):
+        return (KnowledgeGraph([("e0", "r", "e1")], []), KnowledgeGraph([("f0", "r", "f1")], []))
+
+    def test_repeated_line_accepted(self, tmp_path):
+        path = tmp_path / "ill"
+        path.write_text("e0\tf0\ne1\tf1\ne0\tf0\n", encoding="utf-8")
+        assert cli._read_pairs(path, *self.graphs()) == [("e0", "f0"), ("e1", "f1"),
+                                                         ("e0", "f0")]
+
+    def test_right_entity_linked_twice(self, tmp_path):
+        path = tmp_path / "ill"
+        path.write_text("e0\tf0\n\ne1\tf0\n", encoding="utf-8")
+        message = f"{path}:3: right entity 'f0' is already linked to 'e0'"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            cli._read_pairs(path, *self.graphs())
 
 
 class TestEval:

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a library module imports is used in it, and
-every public definition is used by the library or the benchmark."""
+"""Source hygiene: every name a library module imports is used in it, every
+public definition is used by the library or the benchmark, and no dataclass
+merely wraps one field."""
 
 import ast
 from pathlib import Path
@@ -83,3 +84,32 @@ def test_no_public_api_only_tests_call():
               for qualified, name in public_definitions(ast.parse(path.read_text("utf-8")))
               if name not in used]
     assert unused == []
+
+
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return ((isinstance(target, ast.Name) and target.id == "dataclass")
+            or (isinstance(target, ast.Attribute) and target.attr == "dataclass"))
+
+
+def one_field_dataclasses(source):
+    """Names of the ``@dataclass`` classes that declare exactly one field."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            and any(_is_dataclass(d) for d in node.decorator_list)
+            and sum(isinstance(item, ast.AnnAssign) for item in node.body) == 1]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_one_field_dataclasses(path):
+    # its callers see straight through such a wrapper; pass the field itself
+    assert one_field_dataclasses(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_one_field_dataclasses():
+    source = ("import dataclasses\nfrom dataclasses import dataclass\n"
+              "@dataclass\nclass A:\n    x: int\n    def f(self): return 0\n"
+              "@dataclasses.dataclass(frozen=True)\nclass B:\n    y: int\n"
+              "@dataclass\nclass C:\n    x: int\n    y: int\n"
+              "class D:\n    x: int\n")
+    assert one_field_dataclasses(source) == ["A", "B"]

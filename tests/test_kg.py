@@ -162,27 +162,24 @@ def graph_with_counts(counts):
 class TestFrequentAttributes:
     def test_boundary_strictly_more_than(self):
         g = graph_with_counts([51, 50])
-        g2 = KnowledgeGraph([], [])
-        freq = frequent_attributes(g, g2, 50)
-        assert g.attribute_id("a0") in freq.left
-        assert g.attribute_id("a1") not in freq.left
+        freq = frequent_attributes(g, 50)
+        assert g.attribute_id("a0") in freq
+        assert g.attribute_id("a1") not in freq
 
     def test_planted_frequencies(self):
         # direct count oracle: {a1: 100, a2: 10} with min_count 50 keeps only a1
         g = graph_with_counts([100, 10])
-        freq = frequent_attributes(g, KnowledgeGraph([], []), 50)
-        assert freq.left == frozenset({g.attribute_id("a0")})
+        assert frequent_attributes(g, 50) == frozenset({g.attribute_id("a0")})
 
     def test_either_graph_counts(self):
         g = graph_with_counts([3])
         g2 = graph_with_counts([10])
-        freq = frequent_attributes(g, g2, 5)
-        assert freq.left == frozenset()
-        assert freq.right == frozenset({g2.attribute_id("a0")})
+        assert frequent_attributes(g, 5) == frozenset()
+        assert frequent_attributes(g2, 5) == frozenset({g2.attribute_id("a0")})
 
     def test_min_count_validated(self):
         with pytest.raises(ValueError):
-            frequent_attributes(KnowledgeGraph([], []), KnowledgeGraph([], []), 0)
+            frequent_attributes(KnowledgeGraph([], []), 0)
 
 
 class TestTopMSlots:
@@ -387,7 +384,7 @@ class TestInferEntityPairs:
         scores = np.array(rows)
         above = [(m, n, float(scores[m, n])) for m in range(scores.shape[0])
                  for n in range(scores.shape[1]) if scores[m, n] > tau]
-        out = infer_entity_pairs(scores, tau, taken_l, taken_r).pairs
+        out = infer_entity_pairs(scores, tau, taken_l, taken_r)
         assert out == greedy_one_to_one(above, taken_l, taken_r)
         assert not {m for m, _, _ in out} & taken_l
         assert not {n for _, n, _ in out} & taken_r

@@ -355,24 +355,24 @@ class TestRelationshipInference:
     def test_threshold(self):
         scores = np.array([[0.95, 0.1, 0.1], [0.1, 0.2, 0.1], [0.1, 0.1, 0.3]])
         ents = infer_entity_pairs(scores, 0.9)
-        assert [(m, n) for m, n, _ in ents.pairs] == [(0, 0)]
-        assert infer_entity_pairs(np.zeros((1, 1)), 0.9).pairs == []
+        assert [(m, n) for m, n, _ in ents] == [(0, 0)]
+        assert infer_entity_pairs(np.zeros((1, 1)), 0.9) == []
 
     def test_one_to_one_keeps_best(self):
         scores = np.array([[0.95, 0.93], [0.1, 0.1]])
         ents = infer_entity_pairs(scores, 0.9)
-        assert [(m, n) for m, n, _ in ents.pairs] == [(0, 0)]
+        assert [(m, n) for m, n, _ in ents] == [(0, 0)]
 
     def test_all_below_threshold_empty(self):
         ents = infer_entity_pairs(np.full((3, 3), 0.5), 0.9)
-        rels = infer_entity_pairs(np.full((2, 2), 0.5), 0.9).pairs
+        rels = infer_entity_pairs(np.full((2, 2), 0.5), 0.9)
         assert len(ents) == 0 and rels == []
 
     def test_relation_pairs_respect_store(self):
         store = AlignmentStore()
         store.add_rel_pair(0, 0, "seed")
         scores = np.array([[0.99, 0.95], [0.96, 0.94]])
-        pairs = infer_entity_pairs(scores, 0.9, *store.taken_relations()).pairs
+        pairs = infer_entity_pairs(scores, 0.9, *store.taken_relations())
         # relation 0 on both sides is taken, so only (1, 1) can be added
         assert [(a, b) for a, b, _ in pairs] == [(1, 1)]
 
