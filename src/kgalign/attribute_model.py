@@ -11,11 +11,15 @@ identification and multiplying the per-entity aggregates is exactly
 equivalent.
 
 Memory: besides its N x N' float64 output, ``entity_similarity_attr`` holds
-the right graph's per-group aggregates (at most N' * m_slots * D floats) and,
-on each worker, one group's product of at most ``block_size`` x N' floats.
-A group that covers every row or every column of a block is added into the
-output in place; one that misses both some rows and some columns also
-gathers a copy of its product, so the worst case per worker is twice that.
+the right graph's per-group aggregates (at most N' * m_slots * D floats, built
+slot by slot with no masked copy) and, on each worker, at most one group's
+product of ``block_size`` x N' floats.  The first group that touches a block
+is multiplied straight into it when it covers every row and every column, so
+no product is made for it.  A later group that covers every row or every
+column of the block is added into the output in place; one that misses both
+some rows and some columns also gathers a copy of its product, so the worst
+case per worker is twice that.  Inference scans the output in row blocks
+(``infer_entity_pairs``) and builds no N x N' mask.
 """
 
 from __future__ import annotations
@@ -146,6 +150,24 @@ def _cells(rows: np.ndarray, cols: np.ndarray, shape) -> tuple:
     return np.ix_(rows, cols)
 
 
+def _group_aggregate(data: np.ndarray, ids: np.ndarray, ident: int):
+    """Rows of ``ids`` holding ``ident``, and for each the sum of its slot
+    embeddings that hold it.
+
+    The masked slots are added into one (rows, D) accumulator in slot order,
+    which adds what ``.sum(axis=1)`` over the masked (rows, m_slots, D) copy
+    adds, bit for bit.  Only slot positions holding ``ident`` in some row are
+    visited; the others would add only zeros.
+    """
+    mask = ids == ident
+    rows = np.nonzero(mask.any(axis=1))[0]
+    held = mask[rows]
+    agg = np.zeros((rows.size, data.shape[2]))
+    for pos in np.nonzero(held.any(axis=0))[0]:
+        agg += data[rows, pos] * held[:, pos, None]
+    return rows, agg
+
+
 def entity_similarity_attr(values_left: ValueEmbeddingMatrix,
                            values_right: ValueEmbeddingMatrix,
                            slots_left: np.ndarray,
@@ -166,25 +188,25 @@ def entity_similarity_attr(values_left: ValueEmbeddingMatrix,
     shared = sorted(set(np.unique(slots_left)) & set(np.unique(slots_right)) - {-1})
     scores = np.zeros((n, n2))
 
-    right_groups = []
-    for ident in shared:
-        mask = slots_right == ident
-        cols = np.nonzero(mask.any(axis=1))[0]
-        agg = (values_right.data[cols] * mask[cols][:, :, None]).sum(axis=1)
-        right_groups.append((ident, cols, agg))
+    right_groups = [(ident, *_group_aggregate(values_right.data, slots_right, ident))
+                    for ident in shared]
 
     def fill_block(start: int) -> None:
         stop = min(start + block_size, n)
         ids_block = slots_left[start:stop]
         data_block = values_left.data[start:stop]
         out = scores[start:stop]
+        first = True
         for ident, cols, right_agg in right_groups:
-            mask = ids_block == ident
-            rows = np.nonzero(mask.any(axis=1))[0]
+            rows, left_agg = _group_aggregate(data_block, ids_block, ident)
             if rows.size == 0:
                 continue
-            left_agg = (data_block[rows] * mask[rows][:, :, None]).sum(axis=1)
-            out[_cells(rows, cols, out.shape)] += left_agg @ right_agg.T
+            if first and rows.size == out.shape[0] and cols.size == out.shape[1]:
+                np.matmul(left_agg, right_agg.T, out=out)
+                out += 0.0  # as adding to the zero-filled block: a -0.0 becomes +0.0
+            else:
+                out[_cells(rows, cols, out.shape)] += left_agg @ right_agg.T
+            first = False
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(fill_block, range(0, n, block_size)))

@@ -98,9 +98,6 @@ class PipelineConfig:
             if types is None:
                 raise ConfigError(f"{path}: unknown section [{section}]")
             for name in parser.options(section):
-                if name == "block_size":
-                    raise ConfigError(f"{path}: [{section}] block_size was removed "
-                                      "(attribute scoring uses fixed row blocks); delete it")
                 if name not in types:
                     raise ConfigError(f"{path}: unknown key {name!r} in [{section}]")
                 raw = parser.get(section, name)
@@ -124,6 +121,9 @@ class PipelineConfig:
                               f"all; missing {', '.join(map(repr, unset))}")
         if unset and not self.ill:
             raise ConfigError("config needs either 'ill' or all of ill_train/ill_valid/ill_test")
+        if not unset and self.ill:
+            raise ConfigError("config sets both 'ill' and ill_train/ill_valid/ill_test; "
+                              "keep one of the two forms")
         for name in ("ill", "ill_train", "ill_valid", "ill_test"):
             value = getattr(self, name)
             if value and not Path(value).is_file():

@@ -314,15 +314,22 @@ def greedy_one_to_one(scored, taken_left=(), taken_right=(),
     return accepted
 
 
+_SCAN_ROWS = 1024  # score rows compared with the threshold per step
+
+
 def infer_entity_pairs(scores: np.ndarray, threshold: float,
                        taken_left=(), taken_right=()) -> list[tuple[int, int, float]]:
     """Cells of an entity or relation score matrix strictly above the threshold,
     one-to-one reduced, as (left, right, score) rows by descending score; a cell
-    whose row or column is taken is dropped before the sort."""
-    rows, cols = np.nonzero(scores > threshold)
-    scored = [(m, n, float(scores[m, n]))
-              for m, n in zip(rows.tolist(), cols.tolist())
-              if m not in taken_left and n not in taken_right]
+    whose row or column is taken is dropped before the sort.  The cells are
+    found ``_SCAN_ROWS`` rows at a time, so no N x N' mask is held."""
+    scored = []
+    for start in range(0, scores.shape[0], _SCAN_ROWS):
+        block = scores[start:start + _SCAN_ROWS]
+        rows, cols = np.nonzero(block > threshold)
+        scored += [(m, n, s) for m, n, s in zip((rows + start).tolist(), cols.tolist(),
+                                                block[rows, cols].tolist())
+                   if m not in taken_left and n not in taken_right]
     return greedy_one_to_one(scored)
 
 

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from kgalign.attribute_model import SimilarityMatrix
-from kgalign.kg import _CJK_RANGES
+from kgalign.kg import _CJK_RANGES, greedy_one_to_one
 from kgalign.translator import TranslationTable, _dedup_pairs
 
 
@@ -102,6 +102,23 @@ def entity_similarity_attr_ix(values_left, values_right, slots_left, slots_right
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(fill_block, range(0, n, block_size)))
     return scores
+
+
+def masked_group_aggregate(data, ids, ident):
+    """Rows of ``ids`` holding ``ident``, and the sum over slots of a masked
+    (rows, m_slots, D) copy of their embeddings."""
+    mask = ids == ident
+    rows = np.nonzero(mask.any(axis=1))[0]
+    return rows, (data[rows] * mask[rows][:, :, None]).sum(axis=1)
+
+
+def infer_entity_pairs_whole(scores, threshold, taken_left=(), taken_right=()):
+    """One N x N' mask of the cells above the threshold, scanned whole."""
+    rows, cols = np.nonzero(scores > threshold)
+    scored = [(m, n, float(scores[m, n]))
+              for m, n in zip(rows.tolist(), cols.tolist())
+              if m not in taken_left and n not in taken_right]
+    return greedy_one_to_one(scored)
 
 
 def unified_slot_ids(values_left, values_right, frequent_left, frequent_right, attr_pairs):

@@ -191,6 +191,18 @@ class TestAlign:
         assert ("ill_train, ill_valid and ill_test are set together or not at all; "
                 f"missing {', '.join(map(repr, unset))}") in caplog.text
 
+    def test_ill_and_presplit_together_exit_two_before_loading(self, dataset, tmp_path,
+                                                                caplog, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("load_graph called")
+
+        monkeypatch.setattr(cli, "load_graph", fail)
+        cfg = config_for(dataset, tmp_path / "out", ill=str(dataset / "ill_ent_pairs"))
+        write_config(cfg, tmp_path / "c.ini")
+        assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
+        assert ("config sets both 'ill' and ill_train/ill_valid/ill_test; "
+                "keep one of the two forms") in caplog.text
+
     def test_zero_threads_exit_two(self, dataset, tmp_path, caplog):
         cfg = config_for(dataset, tmp_path / "out")
         write_config(cfg, tmp_path / "c.ini")
@@ -410,7 +422,7 @@ class TestConfig:
         ("[model]\ntau_vv = 0.1\n", "unknown key 'tau_vv' in [model]"),
         ("[modle]\ntau_v = 0.1\n", "unknown section [modle]"),
         ("[DEFAULT]\ntau_v = 0.1\n", "unknown section [DEFAULT]"),
-        ("[pipeline]\nblock_size = 64\n", "[pipeline] block_size was removed"),
+        ("[pipeline]\nblock_size = 64\n", "unknown key 'block_size' in [pipeline]"),
         ("[data]\ntau_v = 0.1\n", "unknown key 'tau_v' in [data]"),
     ], ids=["misspelled_key", "unknown_section", "default_section", "removed_block_size",
             "wrong_section"])

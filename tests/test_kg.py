@@ -1,10 +1,11 @@
 """Data model, ingestion, tokenization, and seed construction."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kgalign.kg import (
     AlignmentStore,
@@ -20,7 +21,7 @@ from kgalign.kg import (
     top_m_attr_slots,
 )
 
-from oracles import tokenize_loop
+from oracles import infer_entity_pairs_whole, tokenize_loop
 
 
 class TestTokenize:
@@ -375,6 +376,29 @@ class TestGreedyOneToOne:
         assert greedy_one_to_one(permuted, taken_l, taken_r, **keyed) == out
 
 
+@st.composite
+def sparse_scores(draw):
+    """Up to about two row blocks of zeros with a few cells set above zero,
+    and taken rows and columns among them."""
+    n = draw(st.integers(1, 2100))
+    n2 = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n2 - 1),
+                                    st.sampled_from([0.25, 0.5, 1.0])), max_size=20))
+    scores = np.zeros((n, n2))
+    for m, c, value in cells:
+        scores[m, c] = value
+    taken_l = draw(st.sets(st.sampled_from([m for m, _, _ in cells]))) if cells else set()
+    taken_r = draw(st.sets(st.integers(0, n2 - 1), max_size=n2 - 1))
+    return scores, taken_l, taken_r
+
+
+def boundary_scores():
+    scores = np.zeros((2100, 3))
+    scores[[0, 1023, 1024, 1024, 2047, 2048, 2099], [0, 1, 1, 2, 0, 2, 1]] = \
+        [0.5, 1.0, 1.0, 0.25, 0.5, 0.25, 1.0]
+    return scores, {2047}, set()
+
+
 class TestInferEntityPairs:
     @given(st.lists(st.lists(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 0.5, 1.0]),
                              min_size=4, max_size=4), min_size=1, max_size=5),
@@ -388,3 +412,26 @@ class TestInferEntityPairs:
         assert out == greedy_one_to_one(above, taken_l, taken_r)
         assert not {m for m, _, _ in out} & taken_l
         assert not {n for _, n, _ in out} & taken_r
+
+    @settings(deadline=None)
+    @given(sparse_scores(), st.sampled_from([0.0, 0.25]))
+    @example(boundary_scores(), 0.0)
+    def test_row_blocks_equal_whole_matrix_scan(self, case, tau):
+        scores, taken_l, taken_r = case
+        assert (infer_entity_pairs(scores, tau, taken_l, taken_r)
+                == infer_entity_pairs_whole(scores, tau, taken_l, taken_r))
+
+    def test_peak_memory_below_one_block_mask(self):
+        rng = np.random.default_rng(0)
+        scores = rng.random((3000, 2000))
+        infer_entity_pairs(scores[:2], 0.9999)  # keep lazy first-call work out of the peak
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = infer_entity_pairs(scores, 0.9999)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out
+        assert peak < 1024 * scores.shape[1] * 1.25
