@@ -10,15 +10,17 @@ only equal identifications and dot products are bilinear, grouping slots by
 identification and multiplying the per-entity aggregates is exactly
 equivalent.
 
-Memory: besides its N x N' float64 output, ``entity_similarity_attr`` holds
-the right graph's per-group aggregates (at most N' * m_slots * D floats, built
-slot by slot with no masked copy) and, on each worker, at most one group's
-product of ``block_size`` x N' floats.  The first group that touches a block
-is multiplied straight into it when it covers every row and every column, so
-no product is made for it.  A later group that covers every row or every
-column of the block is added into the output in place; one that misses both
-some rows and some columns also gathers a copy of its product, so the worst
-case per worker is twice that.  Inference scans the output in row blocks
+Memory: a graph's slot values are one embedding per distinct token tuple
+(distinct values x D floats) plus an N x ``m_slots`` index into them; no
+(N, m_slots, D) array is made.  Besides its N x N' float64 output,
+``entity_similarity_attr`` holds the right graph's per-group aggregates (at
+most N' * m_slots * D floats, built slot by slot) and one product buffer per
+worker, as large as the largest product that worker forms.  The first group
+that touches a block is multiplied straight into it when it covers every row
+and every column, so it needs no buffer.  A later product that covers the
+whole block is added with one slice add; any other is added through
+``np.ix_`` ``_CHUNK_ROWS`` rows at a time, so an add gathers at most a
+chunk-sized copy.  Inference scans the output in row blocks
 (``infer_entity_pairs``) and builds no N x N' mask.
 """
 
@@ -83,9 +85,14 @@ def read_similarity_dump(path) -> np.ndarray:
 
 @dataclass
 class ValueEmbeddingMatrix:
-    """Per-entity slot embeddings: shape (N, m_slots, dim), zero-padded."""
+    """Per-entity slot embeddings, one row of ``vectors`` per distinct value.
 
-    data: np.ndarray
+    ``index`` is (N, m_slots): slot ``i`` of entity ``e`` holds
+    ``vectors[index[e, i]]``.  Row 0 is the zero vector behind padding.
+    """
+
+    vectors: np.ndarray
+    index: np.ndarray
     slot_count: np.ndarray
     slots: list[list[tuple[int, ValueText]]]  # (attribute id, value) behind each slot
 
@@ -104,13 +111,14 @@ def build_value_matrix(g: KnowledgeGraph, table, provider: WordVectorProvider,
     if table is not None:
         tokens = [translate_tokens(table, t) for t in tokens]
     # Equal token tuples embed equally, so each distinct one is embedded once.
-    distinct = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
-    embedded = embed_values(provider, list(distinct))
+    # The empty tuple embeds to zero, so it is row 0, behind the padding too.
+    distinct = {t: i for i, t in enumerate(dict.fromkeys([(), *tokens]))}
+    vectors = embed_values(provider, list(distinct))
     entity = np.repeat(np.arange(n), slot_count)
     position = [i for chosen in slots for i in range(len(chosen))]
-    data = np.zeros((n, m_slots, provider.dimension))
-    data[entity, position] = embedded[[distinct[t] for t in tokens]]
-    return ValueEmbeddingMatrix(data, slot_count, slots)
+    index = np.zeros((n, m_slots), dtype=np.int64)
+    index[entity, position] = [distinct[t] for t in tokens]
+    return ValueEmbeddingMatrix(vectors, index, slot_count, slots)
 
 
 def build_attr_slot_matrix(values: ValueEmbeddingMatrix, ident_of: dict[int, int]) -> np.ndarray:
@@ -120,7 +128,7 @@ def build_attr_slot_matrix(values: ValueEmbeddingMatrix, ident_of: dict[int, int
     The slots are the ones ``values`` was built from, so both arrays index
     the same (entity, slot) cells.
     """
-    ids = np.full(values.data.shape[:2], -1, dtype=np.int64)
+    ids = np.full(values.index.shape, -1, dtype=np.int64)
     for entity, chosen in enumerate(values.slots):
         for i, (attr, _) in enumerate(chosen):
             ids[entity, i] = ident_of.get(attr, -1)
@@ -128,44 +136,47 @@ def build_attr_slot_matrix(values: ValueEmbeddingMatrix, ident_of: dict[int, int
 
 
 def _check_shapes(values_left, values_right, slots_left, slots_right):
-    if values_left.data.shape[2] != values_right.data.shape[2]:
+    if values_left.vectors.shape[1] != values_right.vectors.shape[1]:
         raise ValueError("embedding dimensions differ between the two graphs")
-    if values_left.data.shape[:2] != slots_left.shape:
+    if values_left.index.shape != slots_left.shape:
         raise ValueError("left value and identification shapes differ")
-    if values_right.data.shape[:2] != slots_right.shape:
+    if values_right.index.shape != slots_right.shape:
         raise ValueError("right value and identification shapes differ")
 
 
-def _cells(rows: np.ndarray, cols: np.ndarray, shape) -> tuple:
-    """Index of the (rows x cols) cells of an array of ``shape``.
-
-    ``rows`` and ``cols`` are sorted and unique.  An axis they cover fully is
-    a slice, so a product added there needs no gathered copy; ``np.ix_`` is
-    left for groups partial on both axes.
-    """
-    full_rows = rows.size == shape[0]
-    full_cols = cols.size == shape[1]
-    if full_rows or full_cols:
-        return (slice(None) if full_rows else rows, slice(None) if full_cols else cols)
-    return np.ix_(rows, cols)
+_CHUNK_ROWS = 64  # product rows added per step where a group misses part of a block
 
 
-def _group_aggregate(data: np.ndarray, ids: np.ndarray, ident: int):
+def _group_aggregate(vectors: np.ndarray, index: np.ndarray, ids: np.ndarray, ident: int):
     """Rows of ``ids`` holding ``ident``, and for each the sum of its slot
     embeddings that hold it.
 
-    The masked slots are added into one (rows, D) accumulator in slot order,
-    which adds what ``.sum(axis=1)`` over the masked (rows, m_slots, D) copy
-    adds, bit for bit.  Only slot positions holding ``ident`` in some row are
-    visited; the others would add only zeros.
+    The held slots are added into one (rows, D) accumulator in slot order,
+    which adds what ``.sum(axis=1)`` over a masked (rows, m_slots, D) copy
+    adds, bit for bit: where the masked copy adds a +-0.0, this adds row 0 of
+    ``vectors``, and neither changes an accumulator that starts at +0.0.
+    Only slot positions holding ``ident`` in some row are visited; the others
+    would add only zeros.
     """
     mask = ids == ident
-    rows = np.nonzero(mask.any(axis=1))[0]
+    rows = np.flatnonzero(mask.any(axis=1))
     held = mask[rows]
-    agg = np.zeros((rows.size, data.shape[2]))
-    for pos in np.nonzero(held.any(axis=0))[0]:
-        agg += data[rows, pos] * held[:, pos, None]
+    agg = np.zeros((rows.size, vectors.shape[1]))
+    for pos in np.flatnonzero(held.any(axis=0)):
+        agg += vectors[np.where(held[:, pos], index[rows, pos], 0)]
     return rows, agg
+
+
+def _largest_product(ids_block: np.ndarray, right_groups, n2: int) -> int:
+    """Floats in the largest group product a block forms.  The first group
+    that touches the block forms none when it covers all of it: that one is
+    multiplied straight into the block."""
+    sizes = [np.count_nonzero((ids_block == ident).any(axis=1)) * cols.size
+             for ident, cols, _ in right_groups]
+    sizes = [size for size in sizes if size]
+    if sizes and sizes[0] == ids_block.shape[0] * n2:
+        sizes = sizes[1:]
+    return max(sizes, default=0)
 
 
 def entity_similarity_attr(values_left: ValueEmbeddingMatrix,
@@ -183,33 +194,51 @@ def entity_similarity_attr(values_left: ValueEmbeddingMatrix,
     fixed.
     """
     _check_shapes(values_left, values_right, slots_left, slots_right)
-    n = values_left.data.shape[0]
-    n2 = values_right.data.shape[0]
+    n = values_left.index.shape[0]
+    n2 = values_right.index.shape[0]
     shared = sorted(set(np.unique(slots_left)) & set(np.unique(slots_right)) - {-1})
     scores = np.zeros((n, n2))
 
-    right_groups = [(ident, *_group_aggregate(values_right.data, slots_right, ident))
+    right_groups = [(ident, *_group_aggregate(values_right.vectors, values_right.index,
+                                               slots_right, ident))
                     for ident in shared]
 
-    def fill_block(start: int) -> None:
-        stop = min(start + block_size, n)
-        ids_block = slots_left[start:stop]
-        data_block = values_left.data[start:stop]
-        out = scores[start:stop]
-        first = True
-        for ident, cols, right_agg in right_groups:
-            rows, left_agg = _group_aggregate(data_block, ids_block, ident)
-            if rows.size == 0:
-                continue
-            if first and rows.size == out.shape[0] and cols.size == out.shape[1]:
-                np.matmul(left_agg, right_agg.T, out=out)
-                out += 0.0  # as adding to the zero-filled block: a -0.0 becomes +0.0
-            else:
-                out[_cells(rows, cols, out.shape)] += left_agg @ right_agg.T
-            first = False
+    def fill_blocks(starts, buffer: np.ndarray) -> None:
+        for start in starts:
+            stop = min(start + block_size, n)
+            ids_block = slots_left[start:stop]
+            index_block = values_left.index[start:stop]
+            out = scores[start:stop]
+            first = True
+            for ident, cols, right_agg in right_groups:
+                rows, left_agg = _group_aggregate(values_left.vectors, index_block, ids_block,
+                                                  ident)
+                if rows.size == 0:
+                    continue
+                whole = rows.size == out.shape[0] and cols.size == out.shape[1]
+                if first and whole:
+                    np.matmul(left_agg, right_agg.T, out=out)
+                    out += 0.0  # as adding to the zero-filled block: a -0.0 becomes +0.0
+                else:
+                    product = buffer[:rows.size * cols.size].reshape(rows.size, cols.size)
+                    np.matmul(left_agg, right_agg.T, out=product)
+                    if whole:
+                        out += product
+                    else:
+                        for chunk in range(0, rows.size, _CHUNK_ROWS):
+                            part = slice(chunk, chunk + _CHUNK_ROWS)
+                            out[np.ix_(rows[part], cols)] += product[part]
+                first = False
 
+    # Worker w fills blocks w, w + workers, ...  Its product buffer is made
+    # here, in the calling thread, as large as the largest product it forms.
+    starts = range(0, n, block_size)
+    lanes = [starts[w::workers] for w in range(workers)]
+    buffers = [np.empty(max((_largest_product(slots_left[s:s + block_size], right_groups, n2)
+                             for s in lane), default=0))
+               for lane in lanes]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fill_block, range(0, n, block_size)))
+        list(pool.map(fill_blocks, lanes, buffers))
     return SimilarityMatrix(scores, "attribute-view")
 
 
@@ -239,11 +268,18 @@ def infer_from_attribute_view(s_attr: SimilarityMatrix, store: AlignmentStore,
     entities = infer_entity_pairs(s_attr.data, tau_e_attr, *store.taken_entities())
     known_pairs = sorted(store.ent_pairs | {(m, n) for m, n, _ in entities})
 
+    # A proposal on a taken attribute is dropped by the one-to-one reduction,
+    # so a pair whose left or right slots are all on taken ones is skipped.
+    taken_left, taken_right = store.taken_attributes()
     proposals: dict[tuple[int, int], float] = {}
     for left, right in known_pairs:
-        sims = values_left.data[left] @ values_right.data[right].T
         slots_l = values_left.slots[left]
         slots_r = values_right.slots[right]
+        if (all(a in taken_left for a, _ in slots_l)
+                or all(a in taken_right for a, _ in slots_r)):
+            continue
+        sims = (values_left.vectors[values_left.index[left]]
+                @ values_right.vectors[values_right.index[right]].T)
         for i, j in np.argwhere(sims > tau_v):
             if i >= len(slots_l) or j >= len(slots_r):
                 continue
@@ -252,7 +288,6 @@ def infer_from_attribute_view(s_attr: SimilarityMatrix, store: AlignmentStore,
             if sim > proposals.get(key, float("-inf")):
                 proposals[key] = sim
     scored = [(a, b, sim) for (a, b), sim in proposals.items()]
-    taken_left, taken_right = store.taken_attributes()
     new_attrs = greedy_one_to_one(scored, taken_left, taken_right)
 
     attr_map = store.attr_map()

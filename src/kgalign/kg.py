@@ -45,7 +45,7 @@ def tokenize(raw: str) -> tuple[str, ...]:
     return tuple(_TOKEN.findall(raw.lower()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValueText:
     """A literal attribute value together with its deterministic tokens."""
 
@@ -115,10 +115,14 @@ class KnowledgeGraph:
             rel_triples.add((self._intern(self._ent_ids, h),
                              self._intern(self._rel_ids, r),
                              self._intern(self._ent_ids, t)))
+        texts: dict[str, ValueText] = {}  # one ValueText per literal
         for h, a, v in attr_rows:
+            text = texts.get(v)
+            if text is None:
+                text = texts[v] = ValueText.from_raw(v)
             attr_triples.add((self._intern(self._ent_ids, h),
                               self._intern(self._attr_ids, a),
-                              ValueText.from_raw(v)))
+                              text))
         self.ent_labels = self._labels(self._ent_ids)
         self.rel_labels = self._labels(self._rel_ids)
         self.attr_labels = self._labels(self._attr_ids)

@@ -248,9 +248,10 @@ def train_transe(swapped: SwappedTriples, cfg: TrainConfig) -> EmbeddingTable:
             grad_rel *= cfg.learning_rate
             ent -= grad_ent
             rel -= grad_rel
-            touched = np.unique(np.concatenate([pos_rep[:, 0], pos_rep[:, 2],
-                                                neg[:, 0], neg[:, 2]]))
-            _normalize_rows(ent, touched)
+            touched = np.zeros(len(ent), dtype=bool)
+            touched[pos_rep[:, [0, 2]]] = True
+            touched[neg[:, [0, 2]]] = True
+            _normalize_rows(ent, np.flatnonzero(touched))
         table.epoch_losses.append(epoch_loss / (len(triples) * k))
     if table.capped_negatives:
         LOG.warning("%d negative(s) were still known positives after %d resampling rounds",

@@ -2,12 +2,19 @@
 design and used only by the tests."""
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from kgalign.attribute_model import SimilarityMatrix
-from kgalign.kg import _CJK_RANGES, greedy_one_to_one
+from kgalign.attribute_model import AttributeInference, SimilarityMatrix, ValueEmbeddingMatrix
+from kgalign.kg import (
+    _CJK_RANGES,
+    ValueText,
+    cooccurring_values,
+    greedy_one_to_one,
+    infer_entity_pairs,
+)
 from kgalign.translator import TranslationTable, _dedup_pairs
 
 
@@ -41,6 +48,20 @@ def transe_energy(table, head, relation, tail):
     return float(np.linalg.norm(table.ent[head] + table.rel[relation] - table.ent[tail]))
 
 
+def compact_values(dense, ids):
+    """The value matrix of a zero-padded (N, m_slots, D) array: each cell is
+    its own row of ``vectors``, behind the zero row 0."""
+    n, m, dim = dense.shape
+    vectors = np.concatenate([np.zeros((1, dim)), dense.reshape(n * m, dim)])
+    index = np.arange(1, n * m + 1).reshape(n, m)
+    return ValueEmbeddingMatrix(vectors, index, (ids != -1).sum(axis=1), [])
+
+
+def dense_values(values):
+    """The zero-padded (N, m_slots, D) array a value matrix stands for."""
+    return values.vectors[values.index]
+
+
 def brute_force_scores(values_l, values_r, ids_l, ids_r):
     """Quadruple-loop reference: every slot pair, masked by equal ids."""
     n, m, _ = values_l.shape
@@ -63,7 +84,7 @@ def entity_similarity_attr_dense(values_left, values_right, slots_left, slots_ri
     Memory grows as N * N' * m_slots^2, so this is only for small inputs and
     for cross-checking the grouped fast path.
     """
-    sims = np.einsum("mid,njd->mnij", values_left.data, values_right.data)
+    sims = np.einsum("mid,njd->mnij", dense_values(values_left), dense_values(values_right))
     ids_l = slots_left[:, None, :, None]
     ids_r = slots_right[None, :, None, :]
     mask = (ids_l == ids_r) & (ids_l != -1)
@@ -75,8 +96,10 @@ def entity_similarity_attr_ix(values_left, values_right, slots_left, slots_right
     """Grouped products accumulated through ``np.ix_`` gathers, whatever a
     group covers: the same blocks and product shapes as the fast path, so its
     sums must agree bit for bit."""
-    n = values_left.data.shape[0]
-    n2 = values_right.data.shape[0]
+    data_left = dense_values(values_left)
+    data_right = dense_values(values_right)
+    n = data_left.shape[0]
+    n2 = data_right.shape[0]
     shared = sorted(set(np.unique(slots_left)) & set(np.unique(slots_right)) - {-1})
     scores = np.zeros((n, n2))
 
@@ -84,13 +107,13 @@ def entity_similarity_attr_ix(values_left, values_right, slots_left, slots_right
     for ident in shared:
         mask = slots_right == ident
         cols = np.nonzero(mask.any(axis=1))[0]
-        agg = (values_right.data[cols] * mask[cols][:, :, None]).sum(axis=1)
+        agg = (data_right[cols] * mask[cols][:, :, None]).sum(axis=1)
         right_groups.append((ident, cols, agg))
 
     def fill_block(start):
         stop = min(start + block_size, n)
         ids_block = slots_left[start:stop]
-        data_block = values_left.data[start:stop]
+        data_block = data_left[start:stop]
         for ident, cols, right_agg in right_groups:
             mask = ids_block == ident
             rows = np.nonzero(mask.any(axis=1))[0]
@@ -138,7 +161,7 @@ def unified_slot_ids(values_left, values_right, frequent_left, frequent_right, a
             left_ids[left] = right_ids[right]
 
     def slot_ids(values, mapping):
-        ids = np.full(values.data.shape[:2], -1, dtype=np.int64)
+        ids = np.full(values.index.shape, -1, dtype=np.int64)
         for entity, chosen in enumerate(values.slots):
             for i, (attr, _) in enumerate(chosen):
                 ids[entity, i] = mapping[attr]
@@ -198,3 +221,44 @@ def embed_value(provider, value):
     if norm < 1e-12:
         return np.zeros(provider.dimension)
     return mean / norm
+
+
+def infer_from_attribute_view_unskipped(s_attr, store, tau_e_attr, tau_v, g, g2,
+                                        values_left, values_right):
+    """The attribute view's inference with slot similarities computed for
+    every known entity pair, whether or not its attributes are taken."""
+    entities = infer_entity_pairs(s_attr.data, tau_e_attr, *store.taken_entities())
+    known_pairs = sorted(store.ent_pairs | {(m, n) for m, n, _ in entities})
+    data_left = dense_values(values_left)
+    data_right = dense_values(values_right)
+    proposals = {}
+    for left, right in known_pairs:
+        sims = data_left[left] @ data_right[right].T
+        slots_l = values_left.slots[left]
+        slots_r = values_right.slots[right]
+        for i, j in np.argwhere(sims > tau_v):
+            if i >= len(slots_l) or j >= len(slots_r):
+                continue
+            key = (slots_l[i][0], slots_r[j][0])
+            sim = float(sims[i, j])
+            if sim > proposals.get(key, float("-inf")):
+                proposals[key] = sim
+    scored = [(a, b, sim) for (a, b), sim in proposals.items()]
+    new_attrs = greedy_one_to_one(scored, *store.taken_attributes())
+    attr_map = store.attr_map()
+    attr_map.update({a: b for a, b, _ in new_attrs})
+    new_vals = {pair for pair in cooccurring_values(g, g2, known_pairs, attr_map)
+                if pair not in store.val_pairs}
+    return AttributeInference(entities, new_attrs, new_vals)
+
+
+def attribute_index_per_row(g, attr_rows):
+    """``g``'s attribute triples, slots by entity, values by (entity,
+    attribute) and attribute counts, built with one ``ValueText`` per row."""
+    triples = sorted({(g.entity_id(h), g.attribute_id(a), ValueText.from_raw(v))
+                      for h, a, v in attr_rows}, key=lambda x: (x[0], x[1], x[2].raw))
+    by_entity, by_slot = {}, {}
+    for h, a, v in triples:
+        by_entity.setdefault(h, []).append((a, v))
+        by_slot.setdefault((h, a), []).append(v)
+    return triples, by_entity, by_slot, Counter(a for _, a, _ in triples)

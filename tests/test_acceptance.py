@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from kgalign.attribute_model import ValueEmbeddingMatrix, entity_similarity_attr
+from kgalign.attribute_model import entity_similarity_attr
 from kgalign.kg import (
     ValueText,
     build_initial_seeds,
@@ -28,7 +28,12 @@ from kgalign.pipeline import (
 from kgalign.relationship_model import TrainConfig, minibatch_loss_and_grad
 from kgalign.synth import SynthSpec, generate_synth
 from kgalign.translator import train_translation
-from oracles import brute_force_scores, entity_similarity_attr_dense
+from oracles import (
+    brute_force_scores,
+    compact_values,
+    dense_values,
+    entity_similarity_attr_dense,
+)
 
 
 def check(name, condition, detail=""):
@@ -55,7 +60,7 @@ def tensor_fixtures(count=100, seed=1234):
             vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
             ids = rng.integers(-1, n_ids, size=(count_, m))
             vecs[ids == -1] = 0.0
-            return ValueEmbeddingMatrix(vecs, (ids != -1).sum(axis=1), []), ids
+            return compact_values(vecs, ids), ids
 
         vl, il = side(n)
         vr, ir = side(n2)
@@ -67,7 +72,7 @@ def test_tensor_math_oracle():
     worst = 0.0
     for vl, vr, il, ir in tensor_fixtures():
         fast = entity_similarity_attr(vl, vr, il, ir).data
-        expected = brute_force_scores(vl.data, vr.data, il, ir)
+        expected = brute_force_scores(dense_values(vl), dense_values(vr), il, ir)
         worst = max(worst, float(np.abs(fast - expected).max()))
     elapsed = time.perf_counter() - start
     check("tensor-math-oracle", worst <= 1e-6 and elapsed < 10.0,

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from kgalign.attribute_model import (
     _DUMP_ROWS,
     SimilarityMatrix,
-    ValueEmbeddingMatrix,
     _group_aggregate,
     build_attr_slot_matrix,
     build_value_matrix,
@@ -30,6 +29,8 @@ from kgalign.synth import SynthSpec, generate_synth
 from kgalign.translator import WordVectorProvider
 from oracles import (
     brute_force_scores,
+    compact_values,
+    dense_values,
     embed_value,
     entity_similarity_attr_dense,
     entity_similarity_attr_ix,
@@ -48,8 +49,8 @@ def random_fixture(rng, n, n2, m, dim, n_ids=4):
 
     vl, il = side(n)
     vr, ir = side(n2)
-    values_l = ValueEmbeddingMatrix(vl, (il != -1).sum(axis=1), [])
-    values_r = ValueEmbeddingMatrix(vr, (ir != -1).sum(axis=1), [])
+    values_l = compact_values(vl, il)
+    values_r = compact_values(vr, ir)
     return values_l, values_r, il, ir
 
 
@@ -147,7 +148,7 @@ class TestBuildValueMatrix:
         g = KnowledgeGraph([("e0", "r", "e1")], [("e1", "a0", "x")])
         provider = WordVectorProvider(16)
         vm = build_value_matrix(g, None, provider, 3, frozenset())
-        np.testing.assert_array_equal(vm.data, 0.0)
+        np.testing.assert_array_equal(dense_values(vm), 0.0)
         assert vm.slot_count.tolist() == [0, 0]
 
     def test_partial_fill(self):
@@ -155,8 +156,8 @@ class TestBuildValueMatrix:
         provider = WordVectorProvider(16)
         vm = build_value_matrix(g, None, provider, 2, frozenset({0}))
         assert vm.slot_count.tolist() == [1]
-        assert np.linalg.norm(vm.data[0, 0]) == pytest.approx(1.0)
-        np.testing.assert_array_equal(vm.data[0, 1], 0.0)
+        assert np.linalg.norm(dense_values(vm)[0, 0]) == pytest.approx(1.0)
+        np.testing.assert_array_equal(dense_values(vm)[0, 1], 0.0)
 
     def test_matches_per_slot_oracle(self):
         rows = [("e0", "a0", "paris france"), ("e0", "a1", "1984"),
@@ -167,17 +168,29 @@ class TestBuildValueMatrix:
         vm = build_value_matrix(g, None, provider, 2, freq)
         for e in range(g.num_entities):
             for i, (_, value) in enumerate(top_m_attr_slots(g, e, 2, freq)):
-                np.testing.assert_allclose(vm.data[e, i], embed_value(provider, value))
+                np.testing.assert_allclose(dense_values(vm)[e, i], embed_value(provider, value))
+
+    def test_one_row_per_distinct_value(self):
+        result = generate_synth(SynthSpec(n_entities=60, n_attributes=4, rng_seed=3))
+        g = result.left
+        provider = WordVectorProvider(8)
+        frequent = all_attributes(g)
+        vm = build_value_matrix(g, None, provider, 4, frequent)
+        tuples = {value.tokens for chosen in vm.slots for _, value in chosen}
+        assert len(tuples) < vm.slot_count.sum()  # values repeat across slots
+        assert vm.vectors.shape[0] <= len(tuples) + 1
+        assert vm.index.shape == (g.num_entities, 4)
+        np.testing.assert_array_equal(vm.vectors[0], 0.0)
 
 
 class TestEntitySimilarity:
     def unit_fixture(self, same_id):
         provider = WordVectorProvider(8)
         vec = provider.vector("x")
-        values = ValueEmbeddingMatrix(vec.reshape(1, 1, 8).copy(), np.array([1]), [])
-        values2 = ValueEmbeddingMatrix(vec.reshape(1, 1, 8).copy(), np.array([1]), [])
         ids = np.array([[0]])
         ids2 = np.array([[0 if same_id else 1]])
+        values = compact_values(vec.reshape(1, 1, 8).copy(), ids)
+        values2 = compact_values(vec.reshape(1, 1, 8).copy(), ids2)
         return values, values2, ids, ids2
 
     def test_identical_embeddings_same_id(self):
@@ -204,7 +217,7 @@ class TestEntitySimilarity:
         rng = np.random.default_rng(0)
         vl, vr, il, ir = random_fixture(rng, 2, 2, 2, 5)
         fast = entity_similarity_attr(vl, vr, il, ir)
-        expected = brute_force_scores(vl.data, vr.data, il, ir)
+        expected = brute_force_scores(dense_values(vl), dense_values(vr), il, ir)
         np.testing.assert_allclose(fast.data, expected, atol=1e-6)
 
     def test_fast_equals_dense_path(self):
@@ -232,8 +245,8 @@ class TestEntitySimilarity:
         vr = np.abs(rng.standard_normal((5, 2, 6)))
         vr /= np.linalg.norm(vr, axis=2, keepdims=True)
         ids_l = np.array([[0, 1]] * 4)
-        values_l = ValueEmbeddingMatrix(vl, np.full(4, 2), [])
-        values_r = ValueEmbeddingMatrix(vr, np.full(5, 2), [])
+        values_l = compact_values(vl, ids_l)
+        values_r = compact_values(vr, np.array([[0, 1]] * 5))
         without = entity_similarity_attr(values_l, values_r, ids_l, np.array([[2, 1]] * 5))
         with_pair = entity_similarity_attr(values_l, values_r, ids_l, np.array([[0, 1]] * 5))
         assert (with_pair.data >= without.data - 1e-12).all()
@@ -243,15 +256,15 @@ class TestEntitySimilarity:
         vl, vr, il, ir = random_fixture(rng, 3, 3, 4, 5)
         base = entity_similarity_attr(vl, vr, il, ir)
         perm = rng.permutation(4)
-        vl2 = ValueEmbeddingMatrix(vl.data[:, perm], vl.slot_count, [])
         il2 = il[:, perm]
+        vl2 = compact_values(dense_values(vl)[:, perm], il2)
         permuted = entity_similarity_attr(vl2, vr, il2, ir)
         np.testing.assert_allclose(base.data, permuted.data, atol=1e-12)
 
     def test_dimension_mismatch_raises(self):
         rng = np.random.default_rng(5)
         vl, vr, il, ir = random_fixture(rng, 2, 2, 2, 4)
-        bad = ValueEmbeddingMatrix(np.zeros((2, 2, 7)), vr.slot_count, [])
+        bad = compact_values(np.zeros((2, 2, 7)), ir)
         with pytest.raises(ValueError):
             entity_similarity_attr(vl, bad, il, ir)
 
@@ -289,7 +302,7 @@ def layout_fixture(seed, n, n2, modes, dim=3):
         ids = rng.permuted(ids, axis=1)
         vecs = rng.standard_normal((count, m, dim))
         vecs[ids == -1] = 0.0
-        return ValueEmbeddingMatrix(vecs, (ids != -1).sum(axis=1), []), ids
+        return compact_values(vecs, ids), ids
 
     values_l, slots_l = side(n, 0)
     values_r, slots_r = side(n2, 1)
@@ -321,8 +334,9 @@ class TestAccumulation:
         values_l, values_r, slots_l, slots_r = layout_fixture(seed, n, n, modes)
         for values, slots in ((values_l, slots_l), (values_r, slots_r)):
             for ident in range(len(modes)):
-                rows, agg = _group_aggregate(values.data, slots, ident)
-                oracle_rows, oracle_agg = masked_group_aggregate(values.data, slots, ident)
+                rows, agg = _group_aggregate(values.vectors, values.index, slots, ident)
+                oracle_rows, oracle_agg = masked_group_aggregate(dense_values(values), slots,
+                                                                 ident)
                 np.testing.assert_array_equal(rows, oracle_rows)
                 np.testing.assert_array_equal(agg.view(np.int64), oracle_agg.view(np.int64))
 
@@ -345,6 +359,32 @@ class TestAccumulation:
             tracemalloc.stop()
         assert scores.data.nbytes == n * n2 * 8
         assert peak < scores.data.nbytes + workers * block_size * n2 * 8 * 0.25
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_of_partial_groups(self, workers):
+        # Groups partial on the columns, on the rows and on both: each worker
+        # holds one product buffer and gathers one 64-row chunk per add.
+        n, n2, block_size = 2100, 300, 1024
+        fixture = layout_fixture(3, n, n2, [("all", "some"), ("some", "all"), ("some", "some")])
+        values_l, values_r, slots_l, slots_r = fixture
+        groups = [np.flatnonzero((slots_r == ident).any(axis=1)) for ident in range(3)]
+        right_aggregates = sum(cols.size for cols in groups) * values_r.vectors.shape[1] * 8
+        largest = max(np.count_nonzero((slots_l[start:start + block_size] == ident).any(axis=1))
+                      * cols.size * 8
+                      for start in range(0, n, block_size) for ident, cols in enumerate(groups))
+        assert largest < block_size * n2 * 8  # no group covers a whole block
+        entity_similarity_attr(*layout_fixture(3, 2, 2, [("some", "some")]), workers=workers)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            scores = entity_similarity_attr(*fixture, block_size=block_size, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        chunk = 64 * n2 * 8
+        assert peak < (scores.data.nbytes + right_aggregates
+                       + workers * 1.25 * (largest + chunk))
 
 
 class TestSimilarityDump:

@@ -21,7 +21,7 @@ from kgalign.kg import (
     top_m_attr_slots,
 )
 
-from oracles import infer_entity_pairs_whole, tokenize_loop
+from oracles import attribute_index_per_row, infer_entity_pairs_whole, tokenize_loop
 
 
 class TestTokenize:
@@ -148,6 +148,34 @@ class TestLoadGraph:
         for label in g.attr_labels:
             assert g.attr_labels[g.attribute_id(label)] == label
 
+
+class TestValueInterning:
+    """One ``ValueText`` per literal gives the graph a one-per-row build gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rel_rows=st.lists(st.tuples(st.sampled_from("pqr"), st.just("r"),
+                                       st.sampled_from("pqrs")), max_size=4),
+           attr_rows=st.lists(st.tuples(st.sampled_from("pqrst"), st.sampled_from("abc"),
+                                        st.sampled_from(["x", "x y", "X, y", "", "...",
+                                                         "1984年", "x  y"])),
+                              max_size=25))
+    @example(rel_rows=[], attr_rows=[("p", "a", "x"), ("q", "a", "x"), ("p", "b", "x"),
+                                     ("p", "a", "x")])
+    def test_equal_to_one_value_per_row(self, rel_rows, attr_rows):
+        g = KnowledgeGraph(rel_rows, attr_rows)
+        triples, by_entity, by_slot, counts = attribute_index_per_row(g, attr_rows)
+        assert g.attr_triples == triples
+        assert g.attribute_counts == counts
+        for entity in range(g.num_entities):
+            assert g.attributes_of(entity) == by_entity.get(entity, [])
+            for attr in range(g.num_attributes):
+                assert g.values_of(entity, attr) == by_slot.get((entity, attr), [])
+        by_raw = {}
+        for _, _, value in g.attr_triples:
+            assert by_raw.setdefault(value.raw, value) is value
+
+    def test_value_text_has_no_instance_dict(self):
+        assert not hasattr(ValueText.from_raw("x"), "__dict__")
 
 def graph_with_counts(counts):
     """One graph whose attribute 'a{i}' occurs counts[i] times."""

@@ -8,11 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from kgalign.attribute_model import (
+    build_attr_slot_matrix,
+    build_value_matrix,
+    entity_similarity_attr,
+    infer_from_attribute_view,
+)
 from kgalign.kg import (
     PROV_ATTR,
     PROV_REL,
     KnowledgeGraph,
     build_initial_seeds,
+    frequent_attributes,
     infer_entity_pairs,
 )
 from kgalign import pipeline
@@ -28,6 +35,24 @@ from kgalign.pipeline import (
 )
 from kgalign.relationship_model import TrainConfig
 from kgalign.synth import SynthSpec, generate_synth
+from kgalign.translator import WordVectorProvider, train_translation
+
+from oracles import infer_from_attribute_view_unskipped
+
+
+def renamed_synth():
+    """A synthetic pair whose right graph renames attr0-3 and rel0-3, so
+    same-name seeding leaves those attributes and relations free."""
+    res = generate_synth(SynthSpec(n_entities=60, drop_prob=0.0, rng_seed=13))
+    renamed_attr = {f"attr{k}": f"other{k}" for k in range(4)}
+    renamed_rel = {f"rel{k}": f"link{k}" for k in range(4)}
+    right = res.right
+    g2 = KnowledgeGraph(
+        [(right.ent_labels[h], renamed_rel.get(right.rel_labels[r], right.rel_labels[r]),
+          right.ent_labels[t]) for h, r, t in right.rel_triples],
+        [(right.ent_labels[h], renamed_attr.get(right.attr_labels[a], right.attr_labels[a]),
+          v.raw) for h, a, v in right.attr_triples])
+    return res, g2
 
 
 def ranked(*pairs):
@@ -460,15 +485,7 @@ class TestRunPipeline:
         # rename half the right-side labels so same-name seeding misses
         # them; the bootstrap must rediscover those pairs from values and
         # structure
-        res = generate_synth(SynthSpec(n_entities=60, drop_prob=0.0, rng_seed=13))
-        renamed_attr = {f"attr{k}": f"other{k}" for k in range(4)}
-        renamed_rel = {f"rel{k}": f"link{k}" for k in range(4)}
-        right = res.right
-        g2 = KnowledgeGraph(
-            [(right.ent_labels[h], renamed_rel.get(right.rel_labels[r], right.rel_labels[r]),
-              right.ent_labels[t]) for h, r, t in right.rel_triples],
-            [(right.ent_labels[h], renamed_attr.get(right.attr_labels[a], right.attr_labels[a]),
-              v.raw) for h, a, v in right.attr_triples])
+        res, g2 = renamed_synth()
         seeds = build_initial_seeds(res.left, g2, res.ill_train)
         assert len(seeds.attr_pairs) == 5  # name + the four unrenamed ones
         assert len(seeds.rel_pairs) == 4
@@ -521,6 +538,31 @@ class TestRunPipeline:
         write_alignment_dump(result.store, g, g2, tmp_path / "alignments.tsv")
         digest = hashlib.sha256((tmp_path / "alignments.tsv").read_bytes()).hexdigest()
         assert digest == "3891c74fcf4f1b349edb4c35dd4c928f5b76d28184720fe37f0c60af9cd7a227"
+
+
+@pytest.mark.parametrize("aligned", [0, 2, 4])
+def test_attribute_proposals_skip_taken_attributes(aligned):
+    # With none, two or all four renamed attributes aligned, skipping pairs
+    # whose slots are all on taken attributes proposes what the full loop does.
+    res, g2 = renamed_synth()
+    g = res.left
+    store = build_initial_seeds(g, g2, res.ill_train)
+    for k in range(aligned):
+        store.add_attr_pair(g.attribute_id(f"attr{k}"), g2.attribute_id(f"other{k}"), "seed")
+    table = train_translation(sorted(store.val_pairs, key=lambda p: (p[0].raw, p[1].raw)), 10)
+    provider = WordVectorProvider(40)
+    frequent_right = frequent_attributes(g2, 5)
+    values_left = build_value_matrix(g, table, provider, 10, frequent_attributes(g, 5))
+    values_right = build_value_matrix(g2, None, provider, 10, frequent_right)
+    s_attr = entity_similarity_attr(values_left, values_right,
+                                    build_attr_slot_matrix(values_left, store.attr_map()),
+                                    build_attr_slot_matrix(values_right,
+                                                           {a: a for a in frequent_right}))
+    args = (s_attr, store, 1.0, 0.8, g, g2, values_left, values_right)
+    inference = infer_from_attribute_view(*args)
+    assert inference == infer_from_attribute_view_unskipped(*args)
+    assert {(g.attr_labels[a], g2.attr_labels[b]) for a, b, _ in inference.attribute_pairs} == {
+        (f"attr{k}", f"other{k}") for k in range(aligned, 4)}
 
 
 @pytest.fixture(scope="module")
