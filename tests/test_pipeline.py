@@ -304,6 +304,21 @@ def settings_for_tests(**kwargs):
     return PipelineSettings(**defaults)
 
 
+def renamed_run(views, path):
+    """An M3 bootstrap on ``renamed_synth``, and the sha256 of its alignment dump."""
+    res, g2 = renamed_synth()
+    seeds = build_initial_seeds(res.left, g2, res.ill_train)
+    valid = [(res.left.entity_id(a), g2.entity_id(b)) for a, b in res.ill_valid]
+    settings = settings_for_tests(
+        m_slots=10, min_count=5, value_dim=40,
+        transe=TrainConfig(dim=32, epochs=50, rng_seed=2),
+        thresholds=Thresholds(tuning="validation-sweep", tau_v=0.8, tau_r=0.9), views=views)
+    result = run_pipeline(res.left, g2, seeds, settings, merge_mode="M3",
+                          max_iterations=6, valid_pairs=valid)
+    write_alignment_dump(result.store, res.left, g2, path)
+    return result, hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class TestRunPipeline:
     def test_identical_graphs_reach_fixpoint(self):
         g, g2 = identical_graphs()
@@ -481,7 +496,7 @@ class TestRunPipeline:
         assert result.records[0].candidate_overlap == 1
         assert result.records[0].counts["merged"] == 0
 
-    def test_discovers_renamed_attributes_and_relations(self):
+    def test_discovers_renamed_attributes_and_relations(self, tmp_path):
         # rename half the right-side labels so same-name seeding misses
         # them; the bootstrap must rediscover those pairs from values and
         # structure
@@ -489,19 +504,26 @@ class TestRunPipeline:
         seeds = build_initial_seeds(res.left, g2, res.ill_train)
         assert len(seeds.attr_pairs) == 5  # name + the four unrenamed ones
         assert len(seeds.rel_pairs) == 4
-        valid = [(res.left.entity_id(a), g2.entity_id(b)) for a, b in res.ill_valid]
-        settings = settings_for_tests(
-            m_slots=10, min_count=5, value_dim=40,
-            transe=TrainConfig(dim=32, epochs=50, rng_seed=2),
-            thresholds=Thresholds(tuning="validation-sweep", tau_v=0.8, tau_r=0.9))
-        result = run_pipeline(res.left, g2, seeds, settings, merge_mode="M3",
-                              max_iterations=6, valid_pairs=valid)
+        result, digest = renamed_run("both", tmp_path / "alignments.tsv")
         attr_pairs = {(res.left.attr_labels[a], g2.attr_labels[b])
                       for a, b in result.store.attr_pairs}
         rel_pairs = {(res.left.rel_labels[a], g2.rel_labels[b])
                      for a, b in result.store.rel_pairs}
         assert {(f"attr{k}", f"other{k}") for k in range(4)} <= attr_pairs
         assert {(f"rel{k}", f"link{k}") for k in range(4)} <= rel_pairs
+        # Pins attribute-, relation- and value-pair inference bit for bit.
+        assert [(r.counts["new_attr"], r.counts["new_rel"], r.counts["new_val"])
+                for r in result.records] == [(4, 3, 96), (0, 1, 113), (0, 0, 0)]
+        assert digest == "f8b85fed0be06944d882bfa619de47143d8e0614c658bda0eb09d5d1839350c0"
+
+    def test_renamed_attribute_view_digest_is_frozen(self, tmp_path):
+        # The attribute view alone finds the four renamed attributes in round 1
+        # and the values under them in both rounds.
+        result, digest = renamed_run("attr", tmp_path / "alignments.tsv")
+        assert [(r.counts["new_attr"], r.counts["new_rel"], r.counts["new_val"])
+                for r in result.records] == [(4, 0, 96), (0, 0, 107), (0, 0, 0)]
+        assert [r.counts["merged"] for r in result.records] == [12, 27, 0]
+        assert digest == "fcae10c164601807555d7a85f44c4778f14e6fc1d34afcb1058d54157ee95004"
 
     def test_alignment_dump_format(self, tmp_path):
         from kgalign.pipeline import write_alignment_dump
