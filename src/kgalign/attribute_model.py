@@ -4,23 +4,23 @@ Each entity contributes up to ``m_slots`` frequent-attribute value
 embeddings.  The entity-pair score sums the dot products of all slot pairs
 whose attributes are aligned; slots of unaligned attributes never interact.
 Each slot is identified by a right-graph attribute: a right slot by its own,
-a left slot by the one its attribute is aligned to (-1 when it has none).
+so the right keys are the right matrix's ``attrs``, and a left slot by the one
+its attribute is aligned to (-1 when it has none).
 The full 4-d slot-pair tensor is never materialized: because the mask keeps
 only equal identifications and dot products are bilinear, grouping slots by
 identification and multiplying the per-entity aggregates is exactly
 equivalent.
 
 Memory: a graph's slot values are one embedding per distinct token tuple
-(distinct values x D floats) plus an N x ``m_slots`` index into them; no
-(N, m_slots, D) array is made.  Besides its N x N' float64 output,
+(distinct values x D floats) plus an N x ``m_slots`` index into them and an
+N x ``m_slots`` array of attribute ids; no (N, m_slots, D) array is made.  Besides its N x N' float64 output,
 ``entity_similarity_attr`` holds the right graph's per-group aggregates (at
 most N' * m_slots * D floats, built slot by slot) and one product buffer per
 worker, as large as the largest product that worker forms.  The first group
 that touches a block is multiplied straight into it when it covers every row
-and every column, so it needs no buffer.  A later product that covers the
-whole block is added with one slice add; any other is added through
-``np.ix_`` ``_CHUNK_ROWS`` rows at a time, so an add gathers at most a
-chunk-sized copy.  Inference scans the output in row blocks
+and every column, so it needs no buffer.  Every later product is added
+through ``np.ix_`` ``_CHUNK_ROWS`` rows at a time, so an add gathers at most
+a chunk-sized copy.  Inference scans the output in row blocks
 (``infer_entity_pairs``) and builds no N x N' mask.
 """
 
@@ -89,12 +89,14 @@ class ValueEmbeddingMatrix:
 
     ``index`` is (N, m_slots): slot ``i`` of entity ``e`` holds
     ``vectors[index[e, i]]``.  Row 0 is the zero vector behind padding.
+    ``attrs`` is (N, m_slots) too: the attribute id of each slot, -1 on
+    padding.
     """
 
     vectors: np.ndarray
     index: np.ndarray
     slot_count: np.ndarray
-    slots: list[list[tuple[int, ValueText]]]  # (attribute id, value) behind each slot
+    attrs: np.ndarray
 
 
 def build_value_matrix(g: KnowledgeGraph, table, provider: WordVectorProvider,
@@ -118,21 +120,20 @@ def build_value_matrix(g: KnowledgeGraph, table, provider: WordVectorProvider,
     position = [i for chosen in slots for i in range(len(chosen))]
     index = np.zeros((n, m_slots), dtype=np.int64)
     index[entity, position] = [distinct[t] for t in tokens]
-    return ValueEmbeddingMatrix(vectors, index, slot_count, slots)
+    attrs = np.full((n, m_slots), -1, dtype=np.int64)
+    attrs[entity, position] = [a for chosen in slots for a, _ in chosen]
+    return ValueEmbeddingMatrix(vectors, index, slot_count, attrs)
 
 
 def build_attr_slot_matrix(values: ValueEmbeddingMatrix, ident_of: dict[int, int]) -> np.ndarray:
     """Identification per slot of one graph: ``ident_of[attribute]``, or -1
-    for padding and for an attribute ``ident_of`` lacks.
-
-    The slots are the ones ``values`` was built from, so both arrays index
-    the same (entity, slot) cells.
-    """
-    ids = np.full(values.index.shape, -1, dtype=np.int64)
-    for entity, chosen in enumerate(values.slots):
-        for i, (attr, _) in enumerate(chosen):
-            ids[entity, i] = ident_of.get(attr, -1)
-    return ids
+    for padding and for an attribute ``ident_of`` lacks."""
+    # One entry per attribute id up to the largest held, then one that stays
+    # -1, which the padding's -1 indexes.
+    table = np.full(values.attrs.max(initial=-1) + 2, -1, dtype=np.int64)
+    held = [a for a in ident_of if a < table.size - 1]
+    table[held] = [ident_of[a] for a in held]
+    return table[values.attrs]
 
 
 def _check_shapes(values_left, values_right, slots_left, slots_right):
@@ -215,29 +216,26 @@ def entity_similarity_attr(values_left: ValueEmbeddingMatrix,
                                                   ident)
                 if rows.size == 0:
                     continue
-                whole = rows.size == out.shape[0] and cols.size == out.shape[1]
-                if first and whole:
+                if first and rows.size == out.shape[0] and cols.size == out.shape[1]:
                     np.matmul(left_agg, right_agg.T, out=out)
                     out += 0.0  # as adding to the zero-filled block: a -0.0 becomes +0.0
                 else:
                     product = buffer[:rows.size * cols.size].reshape(rows.size, cols.size)
                     np.matmul(left_agg, right_agg.T, out=product)
-                    if whole:
-                        out += product
-                    else:
-                        for chunk in range(0, rows.size, _CHUNK_ROWS):
-                            part = slice(chunk, chunk + _CHUNK_ROWS)
-                            out[np.ix_(rows[part], cols)] += product[part]
+                    for chunk in range(0, rows.size, _CHUNK_ROWS):
+                        part = slice(chunk, chunk + _CHUNK_ROWS)
+                        out[np.ix_(rows[part], cols)] += product[part]
                 first = False
 
-    # Worker w fills blocks w, w + workers, ...  Its product buffer is made
-    # here, in the calling thread, as large as the largest product it forms.
+    # Worker w fills blocks w, w + workers, ...; no worker is left without a
+    # block.  Its product buffer is made here, in the calling thread, as large
+    # as the largest product it forms.
     starts = range(0, n, block_size)
-    lanes = [starts[w::workers] for w in range(workers)]
+    lanes = [starts[w::workers] for w in range(min(workers, len(starts)))]
     buffers = [np.empty(max((_largest_product(slots_left[s:s + block_size], right_groups, n2)
                              for s in lane), default=0))
                for lane in lanes]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=max(len(lanes), 1)) as pool:
         list(pool.map(fill_blocks, lanes, buffers))
     return SimilarityMatrix(scores, "attribute-view")
 
@@ -273,17 +271,17 @@ def infer_from_attribute_view(s_attr: SimilarityMatrix, store: AlignmentStore,
     taken_left, taken_right = store.taken_attributes()
     proposals: dict[tuple[int, int], float] = {}
     for left, right in known_pairs:
-        slots_l = values_left.slots[left]
-        slots_r = values_right.slots[right]
-        if (all(a in taken_left for a, _ in slots_l)
-                or all(a in taken_right for a, _ in slots_r)):
+        attrs_l = values_left.attrs[left].tolist()
+        attrs_r = values_right.attrs[right].tolist()
+        if (all(a in taken_left for a in attrs_l if a != -1)
+                or all(a in taken_right for a in attrs_r if a != -1)):
             continue
         sims = (values_left.vectors[values_left.index[left]]
                 @ values_right.vectors[values_right.index[right]].T)
         for i, j in np.argwhere(sims > tau_v):
-            if i >= len(slots_l) or j >= len(slots_r):
+            if attrs_l[i] == -1 or attrs_r[j] == -1:
                 continue
-            key = (slots_l[i][0], slots_r[j][0])
+            key = (attrs_l[i], attrs_r[j])
             sim = float(sims[i, j])
             if sim > proposals.get(key, float("-inf")):
                 proposals[key] = sim

@@ -129,10 +129,8 @@ class KnowledgeGraph:
         self.rel_triples = sorted(rel_triples)
         self.attr_triples = sorted(attr_triples, key=lambda x: (x[0], x[1], x[2].raw))
         self._attrs_by_entity: dict[int, list[tuple[int, ValueText]]] = {}
-        self._values_by_slot: dict[tuple[int, int], list[ValueText]] = {}
         for h, a, v in self.attr_triples:
             self._attrs_by_entity.setdefault(h, []).append((a, v))
-            self._values_by_slot.setdefault((h, a), []).append(v)
         self.attribute_counts = Counter(a for _, a, _ in self.attr_triples)
 
     @staticmethod
@@ -190,9 +188,6 @@ class KnowledgeGraph:
     def attributes_of(self, entity: int) -> list[tuple[int, ValueText]]:
         """Attribute slots of one entity in deterministic order."""
         return self._attrs_by_entity.get(entity, [])
-
-    def values_of(self, entity: int, attribute: int) -> list[ValueText]:
-        return self._values_by_slot.get((entity, attribute), [])
 
 
 def load_graph(rel_path, attr_path) -> KnowledgeGraph:
@@ -357,12 +352,14 @@ def cooccurring_values(g: KnowledgeGraph, g2: KnowledgeGraph, ent_pairs,
     """``(left value, right value)`` the two entities of each pair hold under
     an aligned attribute pair; by pair, then left slot, then right value."""
     for left, right in ent_pairs:
+        slots_right = g2.attributes_of(right)
         for attr, value in g.attributes_of(left):
             counterpart = attr_map.get(attr)
             if counterpart is None:
                 continue
-            for value2 in g2.values_of(right, counterpart):
-                yield value, value2
+            for attr2, value2 in slots_right:
+                if attr2 == counterpart:
+                    yield value, value2
 
 
 def build_initial_seeds(g: KnowledgeGraph, g2: KnowledgeGraph, ill_train) -> AlignmentStore:

@@ -123,7 +123,6 @@ class PipelineResult:
     converged: bool
     s_attr: SimilarityMatrix | None
     s_rel: SimilarityMatrix | None
-    translator: TranslationTable | None
     embeddings: EmbeddingTable | None
 
     @property
@@ -285,7 +284,6 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
     table: TranslationTable | None = None
     values_left: ValueEmbeddingMatrix | None = None
     values_right: ValueEmbeddingMatrix | None = None
-    slots_right: np.ndarray | None = None
     embeddings: EmbeddingTable | None = None
     s_attr: SimilarityMatrix | None = None
     s_rel: SimilarityMatrix | None = None
@@ -330,12 +328,10 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
             if values_right is None:
                 values_right = build_value_matrix(g2, None, provider, settings.m_slots,
                                                   frequent_right)
-                slots_right = build_attr_slot_matrix(values_right,
-                                                     {a: a for a in frequent_right})
             # A left slot meets the right slots of the attribute it is aligned to.
             slots_left = build_attr_slot_matrix(values_left, store.attr_map())
-            s_attr = entity_similarity_attr(values_left, values_right, slots_left, slots_right,
-                                            workers=settings.workers)
+            s_attr = entity_similarity_attr(values_left, values_right, slots_left,
+                                            values_right.attrs, workers=settings.workers)
             timings["attribute_scores"] = time.perf_counter() - tick
 
             tick = time.perf_counter()
@@ -405,7 +401,7 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
             converged = True
             break
 
-    return PipelineResult(store, records, converged, s_attr, s_rel, table, embeddings)
+    return PipelineResult(store, records, converged, s_attr, s_rel, embeddings)
 
 
 def write_iteration_log(result: PipelineResult, path) -> None:

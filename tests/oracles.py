@@ -54,7 +54,7 @@ def compact_values(dense, ids):
     n, m, dim = dense.shape
     vectors = np.concatenate([np.zeros((1, dim)), dense.reshape(n * m, dim)])
     index = np.arange(1, n * m + 1).reshape(n, m)
-    return ValueEmbeddingMatrix(vectors, index, (ids != -1).sum(axis=1), [])
+    return ValueEmbeddingMatrix(vectors, index, (ids != -1).sum(axis=1), ids)
 
 
 def dense_values(values):
@@ -127,6 +127,17 @@ def entity_similarity_attr_ix(values_left, values_right, slots_left, slots_right
     return scores
 
 
+def attr_slot_ids_loop(slots, m_slots, ident_of):
+    """Identification per slot, one slot at a time: ``ident_of[attribute]``,
+    or -1 for padding and for an attribute ``ident_of`` lacks.  ``slots``
+    holds each entity's ``top_m_attr_slots``."""
+    ids = np.full((len(slots), m_slots), -1, dtype=np.int64)
+    for entity, chosen in enumerate(slots):
+        for i, (attr, _) in enumerate(chosen):
+            ids[entity, i] = ident_of.get(attr, -1)
+    return ids
+
+
 def masked_group_aggregate(data, ids, ident):
     """Rows of ``ids`` holding ``ident``, and the sum over slots of a masked
     (rows, m_slots, D) copy of their embeddings."""
@@ -161,9 +172,9 @@ def unified_slot_ids(values_left, values_right, frequent_left, frequent_right, a
             left_ids[left] = right_ids[right]
 
     def slot_ids(values, mapping):
-        ids = np.full(values.index.shape, -1, dtype=np.int64)
-        for entity, chosen in enumerate(values.slots):
-            for i, (attr, _) in enumerate(chosen):
+        ids = np.full(values.attrs.shape, -1, dtype=np.int64)
+        for (entity, i), attr in np.ndenumerate(values.attrs):
+            if attr != -1:
                 ids[entity, i] = mapping[attr]
         return ids
 
@@ -234,12 +245,10 @@ def infer_from_attribute_view_unskipped(s_attr, store, tau_e_attr, tau_v, g, g2,
     proposals = {}
     for left, right in known_pairs:
         sims = data_left[left] @ data_right[right].T
-        slots_l = values_left.slots[left]
-        slots_r = values_right.slots[right]
         for i, j in np.argwhere(sims > tau_v):
-            if i >= len(slots_l) or j >= len(slots_r):
+            if i >= values_left.slot_count[left] or j >= values_right.slot_count[right]:
                 continue
-            key = (slots_l[i][0], slots_r[j][0])
+            key = (int(values_left.attrs[left, i]), int(values_right.attrs[right, j]))
             sim = float(sims[i, j])
             if sim > proposals.get(key, float("-inf")):
                 proposals[key] = sim
@@ -253,12 +262,11 @@ def infer_from_attribute_view_unskipped(s_attr, store, tau_e_attr, tau_v, g, g2,
 
 
 def attribute_index_per_row(g, attr_rows):
-    """``g``'s attribute triples, slots by entity, values by (entity,
-    attribute) and attribute counts, built with one ``ValueText`` per row."""
+    """``g``'s attribute triples, slots by entity and attribute counts, built
+    with one ``ValueText`` per row."""
     triples = sorted({(g.entity_id(h), g.attribute_id(a), ValueText.from_raw(v))
                       for h, a, v in attr_rows}, key=lambda x: (x[0], x[1], x[2].raw))
-    by_entity, by_slot = {}, {}
+    by_entity = {}
     for h, a, v in triples:
         by_entity.setdefault(h, []).append((a, v))
-        by_slot.setdefault((h, a), []).append(v)
-    return triples, by_entity, by_slot, Counter(a for _, a, _ in triples)
+    return triples, by_entity, Counter(a for _, a, _ in triples)

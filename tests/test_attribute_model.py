@@ -2,6 +2,7 @@
 
 import functools
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,7 @@ from kgalign.kg import (
 from kgalign.synth import SynthSpec, generate_synth
 from kgalign.translator import WordVectorProvider
 from oracles import (
+    attr_slot_ids_loop,
     brute_force_scores,
     compact_values,
     dense_values,
@@ -78,7 +80,8 @@ class TestSlotIdentification:
         left = build_attr_slot_matrix(values, {})
         right = build_attr_slot_matrix(values2, own_ids(all_attributes(g2)))
         np.testing.assert_array_equal(left, -1)
-        for e, chosen in enumerate(values2.slots):
+        for e in range(g2.num_entities):
+            chosen = top_m_attr_slots(g2, e, 2, all_attributes(g2))
             assert right[e, :len(chosen)].tolist() == [a for a, _ in chosen]
         assert set(np.unique(right)) - {-1} == set(all_attributes(g2))
 
@@ -106,16 +109,52 @@ class TestSlotIdentification:
 
 
 @functools.lru_cache(maxsize=None)
-def synth_values(seed, min_count, m_slots):
-    """Value matrices and frequent attributes of a small synthetic pair."""
+def synth_graphs(seed):
+    """The two graphs of a small synthetic pair."""
     result = generate_synth(SynthSpec(n_entities=40, n_attributes=5, drop_prob=0.3,
                                       rng_seed=seed))
+    return result.left, result.right
+
+
+@functools.lru_cache(maxsize=None)
+def synth_values(seed, min_count, m_slots):
+    """Value matrices and frequent attributes of a small synthetic pair."""
     provider = WordVectorProvider(8)
     sides = []
-    for g in (result.left, result.right):
+    for g in synth_graphs(seed):
         frequent = frequent_attributes(g, min_count)
         sides.append((build_value_matrix(g, None, provider, m_slots, frequent), frequent))
     return sides
+
+
+class TestSlotAttributes:
+    """``attrs`` holds the attribute of each slot ``top_m_attr_slots`` picks,
+    and the lookup keys slots by it as the per-slot loop does."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2), min_count=st.integers(1, 40), m_slots=st.integers(1, 6),
+           side=st.sampled_from([0, 1]),
+           ident_of=st.dictionaries(st.integers(0, 9), st.integers(0, 9)))
+    @example(seed=0, min_count=40, m_slots=3, side=0, ident_of={0: 1, 9: 2})
+    def test_attrs_and_lookup_match_top_slots(self, seed, min_count, m_slots, side, ident_of):
+        g = synth_graphs(seed)[side]
+        values, frequent = synth_values(seed, min_count, m_slots)[side]
+        slots = [top_m_attr_slots(g, e, m_slots, frequent) for e in range(g.num_entities)]
+        assert values.attrs.dtype == np.int64
+        assert values.attrs.tolist() == [[a for a, _ in chosen] + [-1] * (m_slots - len(chosen))
+                                         for chosen in slots]
+        ids = build_attr_slot_matrix(values, ident_of)  # ids 6-9 are not in the graph
+        np.testing.assert_array_equal(ids, attr_slot_ids_loop(slots, m_slots, ident_of))
+
+    @pytest.mark.parametrize("rows", [[], [("e0", "a0", "x"), ("e1", "a1", "y")]],
+                             ids=["no-entities", "all-padding"])
+    def test_lookup_without_attributes(self, rows):
+        g = KnowledgeGraph([], rows)
+        values = build_value_matrix(g, None, WordVectorProvider(8), 3, frozenset())
+        np.testing.assert_array_equal(values.attrs, np.full((g.num_entities, 3), -1))
+        ids = build_attr_slot_matrix(values, {0: 1, 1: 0, 7: 2})
+        np.testing.assert_array_equal(ids, attr_slot_ids_loop([[]] * g.num_entities, 3, {}))
+        assert ids.dtype == np.int64
 
 
 class TestNumberingEquivalence:
@@ -176,7 +215,8 @@ class TestBuildValueMatrix:
         provider = WordVectorProvider(8)
         frequent = all_attributes(g)
         vm = build_value_matrix(g, None, provider, 4, frequent)
-        tuples = {value.tokens for chosen in vm.slots for _, value in chosen}
+        tuples = {value.tokens for e in range(g.num_entities)
+                  for _, value in top_m_attr_slots(g, e, 4, frequent)}
         assert len(tuples) < vm.slot_count.sum()  # values repeat across slots
         assert vm.vectors.shape[0] <= len(tuples) + 1
         assert vm.index.shape == (g.num_entities, 4)
@@ -260,6 +300,17 @@ class TestEntitySimilarity:
         vl2 = compact_values(dense_values(vl)[:, perm], il2)
         permuted = entity_similarity_attr(vl2, vr, il2, ir)
         np.testing.assert_allclose(base.data, permuted.data, atol=1e-12)
+
+    def test_no_worker_without_a_block(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        fixture = layout_fixture(0, 200, 20, [("all", "all"), ("some", "some")])
+        scores = entity_similarity_attr(*fixture, workers=8)
+        assert len(started) == 1  # one 1024-row block, so one lane
+        single = entity_similarity_attr(*fixture, workers=1)
+        np.testing.assert_array_equal(scores.data.view(np.int64), single.data.view(np.int64))
 
     def test_dimension_mismatch_raises(self):
         rng = np.random.default_rng(5)

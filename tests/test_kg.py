@@ -163,13 +163,11 @@ class TestValueInterning:
                                      ("p", "a", "x")])
     def test_equal_to_one_value_per_row(self, rel_rows, attr_rows):
         g = KnowledgeGraph(rel_rows, attr_rows)
-        triples, by_entity, by_slot, counts = attribute_index_per_row(g, attr_rows)
+        triples, by_entity, counts = attribute_index_per_row(g, attr_rows)
         assert g.attr_triples == triples
         assert g.attribute_counts == counts
         for entity in range(g.num_entities):
             assert g.attributes_of(entity) == by_entity.get(entity, [])
-            for attr in range(g.num_attributes):
-                assert g.values_of(entity, attr) == by_slot.get((entity, attr), [])
         by_raw = {}
         for _, _, value in g.attr_triples:
             assert by_raw.setdefault(value.raw, value) is value

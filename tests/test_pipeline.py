@@ -411,11 +411,16 @@ class TestRunPipeline:
                                               "new_attr", "new_rel", "new_val"}
             assert "timings" in payload
 
-    def test_iteration_records_carry_transe_summary(self):
+    def test_iteration_records_carry_transe_summary(self, monkeypatch):
         g, g2 = identical_graphs()
         seeds = build_initial_seeds(g, g2, [("e0", "f0")])
         import json
+        tables = []
+        train = pipeline.train_translation
+        monkeypatch.setattr(pipeline, "train_translation",
+                            lambda *args: tables.append(train(*args)) or tables[-1])
         both = run_pipeline(g, g2, seeds, settings_for_tests(views="both"), max_iterations=2)
+        both_table = tables[-1]
         for record in both.records:
             transe = json.loads(record.to_json_line())["transe"]
             assert set(transe) == {"epochs", "loss_first", "loss_last", "loss_min",
@@ -433,7 +438,7 @@ class TestRunPipeline:
             assert set(translator) == {"pairs", "ll_first", "ll_last"}
             assert translator["ll_first"] <= translator["ll_last"]
         assert both.records[0].translator["pairs"] == len(seeds.val_pairs)
-        assert both.records[-1].translator["ll_last"] == both.translator.log_likelihoods[-1]
+        assert both.records[-1].translator["ll_last"] == both_table.log_likelihoods[-1]
         rel_only = run_pipeline(g, g2, seeds, settings_for_tests(views="rel"), max_iterations=1)
         assert rel_only.records[0].translator == {}
         frozen = run_pipeline(g, g2, seeds,

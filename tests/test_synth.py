@@ -55,8 +55,9 @@ class TestGenerateSynth:
                 counterpart = attr_map.get(attr)
                 if counterpart is None:
                     continue
-                for value2 in res.right.values_of(right_ent, counterpart):
-                    reachable.add((value, value2))
+                for attr2, value2 in res.right.attributes_of(right_ent):
+                    if attr2 == counterpart:
+                        reachable.add((value, value2))
         assert res.truth.val_pairs <= reachable
 
     def test_drop_prob_thins_non_name_triples(self):
