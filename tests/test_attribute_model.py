@@ -151,10 +151,11 @@ class TestSlotAttributes:
     def test_lookup_without_attributes(self, rows):
         g = KnowledgeGraph([], rows)
         values = build_value_matrix(g, None, WordVectorProvider(8), 3, frozenset())
-        np.testing.assert_array_equal(values.attrs, np.full((g.num_entities, 3), -1))
+        padding = [[-1] * 3] * g.num_entities
+        assert values.attrs.tolist() == padding
         ids = build_attr_slot_matrix(values, {0: 1, 1: 0, 7: 2})
-        np.testing.assert_array_equal(ids, attr_slot_ids_loop([[]] * g.num_entities, 3, {}))
-        assert ids.dtype == np.int64
+        assert ids.shape == (g.num_entities, 3) and ids.dtype == np.int64
+        assert ids.tolist() == padding
 
 
 class TestNumberingEquivalence:
