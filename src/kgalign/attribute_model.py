@@ -111,7 +111,9 @@ def build_value_matrix(g: KnowledgeGraph, table, provider: WordVectorProvider,
     slot_count = np.array([len(chosen) for chosen in slots], dtype=np.int64)
     tokens = [value.tokens for chosen in slots for _, value in chosen]
     if table is not None:
-        tokens = [translate_tokens(table, t) for t in tokens]
+        # A translation depends only on the tuple, so each distinct one is translated once.
+        translated = {t: translate_tokens(table, t) for t in dict.fromkeys(tokens)}
+        tokens = [translated[t] for t in tokens]
     # Equal token tuples embed equally, so each distinct one is embedded once.
     # The empty tuple embeds to zero, so it is row 0, behind the padding too.
     distinct = {t: i for i, t in enumerate(dict.fromkeys([(), *tokens]))}

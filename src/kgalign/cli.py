@@ -229,6 +229,8 @@ def cmd_align(args) -> int:
         train = _read_pairs(cfg.ill_train, g, g2)
         valid = _read_pairs(cfg.ill_valid, g, g2)
         test = _read_pairs(cfg.ill_test, g, g2)
+        if not test:
+            raise ConfigError(f"{cfg.ill_test}: no test links to evaluate")
     else:
         pairs = _read_pairs(cfg.ill, g, g2)
         try:

@@ -325,9 +325,10 @@ def infer_entity_pairs(scores: np.ndarray, threshold: float,
     scored = []
     for start in range(0, scores.shape[0], _SCAN_ROWS):
         block = scores[start:start + _SCAN_ROWS]
-        rows, cols = np.nonzero(block > threshold)
+        flat = np.flatnonzero(block > threshold)
+        rows, cols = np.divmod(flat, scores.shape[1])
         scored += [(m, n, s) for m, n, s in zip((rows + start).tolist(), cols.tolist(),
-                                                block[rows, cols].tolist())
+                                                np.take(block, flat).tolist())
                    if m not in taken_left and n not in taken_right]
     return greedy_one_to_one(scored)
 

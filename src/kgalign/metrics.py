@@ -46,7 +46,6 @@ def evaluate(matrix, test_pairs, ks=(1, 10), source=None) -> EvalReport:
     if len(test_pairs) == 0:
         raise ValueError("no test pairs")
     n, n2 = scores.shape
-    cols = np.arange(n2)
     ranks = []
     for left, right in test_pairs:
         if not 0 <= left < n:
@@ -55,7 +54,7 @@ def evaluate(matrix, test_pairs, ks=(1, 10), source=None) -> EvalReport:
             raise ValueError(f"test entity {right} is not a column of the similarity matrix")
         row = scores[left]
         s = row[right]
-        rank = 1 + int((row > s).sum()) + int(((row == s) & (cols < right)).sum())
+        rank = 1 + np.count_nonzero(row > s) + np.count_nonzero(row[:right] == s)
         ranks.append(rank)
     ranks = np.asarray(ranks, dtype=np.float64)
     hr = {int(k): float((ranks <= k).mean()) for k in ks}

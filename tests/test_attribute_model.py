@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from kgalign import attribute_model
 from kgalign.attribute_model import (
     _DUMP_ROWS,
     SimilarityMatrix,
@@ -27,7 +28,7 @@ from kgalign.kg import (
     top_m_attr_slots,
 )
 from kgalign.synth import SynthSpec, generate_synth
-from kgalign.translator import WordVectorProvider
+from kgalign.translator import TranslationTable, WordVectorProvider, translate_tokens
 from oracles import (
     attr_slot_ids_loop,
     brute_force_scores,
@@ -222,6 +223,24 @@ class TestBuildValueMatrix:
         assert vm.vectors.shape[0] <= len(tuples) + 1
         assert vm.index.shape == (g.num_entities, 4)
         np.testing.assert_array_equal(vm.vectors[0], 0.0)
+
+    def test_translates_each_distinct_tuple_once(self, monkeypatch):
+        g = generate_synth(SynthSpec(n_entities=60, n_attributes=4, rng_seed=3)).left
+        frequent = all_attributes(g)
+        slot_tuples = [value.tokens for e in range(g.num_entities)
+                       for _, value in top_m_attr_slots(g, e, 4, frequent)]
+        assert len(set(slot_tuples)) < len(slot_tuples)  # values repeat across slots
+        table = TranslationTable({}, {tok: f"{tok}x" for t in slot_tuples[::2] for tok in t})
+        calls = []
+
+        def counting(tbl, tokens):
+            calls.append(tokens)
+            return translate_tokens(tbl, tokens)
+
+        monkeypatch.setattr(attribute_model, "translate_tokens", counting)
+        build_value_matrix(g, table, WordVectorProvider(8), 4, frequent)
+        assert len(calls) == len(set(slot_tuples))
+        assert set(calls) == set(slot_tuples)
 
 
 class TestEntitySimilarity:

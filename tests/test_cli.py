@@ -152,6 +152,21 @@ class TestAlign:
         assert "0 validation pairs" in caplog.text
         assert not (tmp_path / "out").exists()
 
+    def test_empty_test_links_exit_two_before_pipeline(self, dataset, tmp_path, caplog,
+                                                       monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("run_pipeline called")
+
+        monkeypatch.setattr(cli, "run_pipeline", fail)
+        ill_test = tmp_path / "ill_test"
+        ill_test.write_bytes(b"")
+        cfg = config_for(dataset, tmp_path / "out", ill_test=str(ill_test), views="attr",
+                         max_iterations=1)
+        write_config(cfg, tmp_path / "c.ini")
+        assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
+        assert f"{ill_test}: no test links to evaluate" in caplog.text
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["em_iterations", "max_iterations", "m_slots",
                                      "value_dim", "min_count"])
     def test_knob_below_one_exits_two_before_loading(self, dataset, tmp_path, caplog,

@@ -442,6 +442,8 @@ class TestInferEntityPairs:
     @settings(deadline=None)
     @given(sparse_scores(), st.sampled_from([0.0, 0.25]))
     @example(boundary_scores(), 0.0)
+    @example((np.zeros((1500, 0)), set(), set()), 0.0)
+    @example((np.zeros((0, 3)), set(), set()), 0.0)
     def test_row_blocks_equal_whole_matrix_scan(self, case, tau):
         scores, taken_l, taken_r = case
         assert (infer_entity_pairs(scores, tau, taken_l, taken_r)

@@ -4,9 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kgalign.attribute_model import SimilarityMatrix
 from kgalign.metrics import EvalReport, evaluate, split_ills
+from oracles import evaluate_masked
+
+# Few distinct values, so rows tie often; NaN compares unequal to itself.
+TIE_VALUES = (0.0, -0.0, 0.5, 1.0, -1.0, float("nan"))
 
 
 def rank_oracle(scores, left, right):
@@ -47,6 +52,20 @@ class TestEvaluate:
         for k in (1, 2, 3):
             assert report.hr[k] == pytest.approx(float((ranks <= k).mean()))
         assert report.mrr == pytest.approx(float((1.0 / ranks).mean()))
+
+    @given(st.data(), st.integers(1, 5), st.integers(1, 9))
+    def test_ties_rank_like_masked_sums(self, data, n, n2):
+        cells = data.draw(st.lists(st.sampled_from(TIE_VALUES), min_size=n * n2,
+                                   max_size=n * n2))
+        scores = np.array(cells).reshape(n, n2)
+        rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+        middle = data.draw(st.integers(0, n2 - 1))
+        pairs = [(m, c) for m in rows for c in (0, middle, n2 - 1)]
+        ks = (1, 2, n2)
+        report = evaluate(scores, pairs, ks=ks)
+        hr, mrr = evaluate_masked(scores, pairs, ks)
+        assert report.hr == hr
+        assert report.mrr == mrr
 
     def test_hr_monotone_and_mrr_dominates_hr1(self):
         rng = np.random.default_rng(23)
