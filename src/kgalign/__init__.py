@@ -23,7 +23,6 @@ from .translator import (
     translate_tokens,
 )
 from .attribute_model import (
-    SimilarityMatrix,
     ValueEmbeddingMatrix,
     build_attr_slot_matrix,
     build_value_matrix,
@@ -47,7 +46,7 @@ from .pipeline import (
     run_pipeline,
     tune_thresholds,
 )
-from .metrics import EvalReport, evaluate, split_ills
+from .metrics import EvalReport, SimilarityMatrix, evaluate, split_ills
 from .synth import SynthSpec, SynthResult, generate_synth, write_dataset
 
 __version__ = "0.1.0"

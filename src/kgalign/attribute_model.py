@@ -13,15 +13,15 @@ equivalent.
 
 Memory: a graph's slot values are one embedding per distinct token tuple
 (distinct values x D floats) plus an N x ``m_slots`` index into them and an
-N x ``m_slots`` array of attribute ids; no (N, m_slots, D) array is made.  Besides its N x N' float64 output,
-``entity_similarity_attr`` holds the right graph's per-group aggregates (at
-most N' * m_slots * D floats, built slot by slot) and one product buffer per
-worker, as large as the largest product that worker forms.  The first group
-that touches a block is multiplied straight into it when it covers every row
-and every column, so it needs no buffer.  Every later product is added
-through ``np.ix_`` ``_CHUNK_ROWS`` rows at a time, so an add gathers at most
-a chunk-sized copy.  Inference scans the output in row blocks
-(``infer_entity_pairs``) and builds no N x N' mask.
+N x ``m_slots`` array of attribute ids; no (N, m_slots, D) array is made.
+Besides its N x N' float64 output, ``entity_similarity_attr`` holds the right
+graph's per-group aggregates (at most N' * m_slots * D floats, built slot by
+slot) and one product buffer per worker, as large as the largest product that
+worker forms.  The first group that touches a block is multiplied straight
+into it when it covers every row and every column, so it needs no buffer.
+Every later product is added through ``np.ix_`` ``_CHUNK_ROWS`` rows at a
+time, so an add gathers at most a chunk-sized copy.  Inference scans the
+output in row blocks (``infer_entity_pairs``) and builds no N x N' mask.
 """
 
 from __future__ import annotations
@@ -45,25 +45,16 @@ from .kg import (
 from .translator import WordVectorProvider, embed_values, translate_tokens
 
 
-@dataclass
-class SimilarityMatrix:
-    """Dense entity-scores between the two graphs; rows index the left graph."""
-
-    data: np.ndarray
-    source: str  # "attribute-view" or "relationship-view"
-
-
 _DUMP_ROWS = 1024  # rows converted per step, so no whole float32 copy is held
 
 
-def write_similarity_dump(matrix: SimilarityMatrix, path) -> None:
+def write_similarity_dump(scores: np.ndarray, path) -> None:
     """Binary dump: 8-byte header (rows, cols as little-endian uint32), then
     row-major float32."""
-    data = matrix.data
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", data.shape[0], data.shape[1]))
-        for start in range(0, data.shape[0], _DUMP_ROWS):
-            fh.write(np.ascontiguousarray(data[start:start + _DUMP_ROWS], dtype="<f4"))
+        fh.write(struct.pack("<II", scores.shape[0], scores.shape[1]))
+        for start in range(0, scores.shape[0], _DUMP_ROWS):
+            fh.write(np.ascontiguousarray(scores[start:start + _DUMP_ROWS], dtype="<f4"))
 
 
 def read_similarity_dump(path) -> np.ndarray:
@@ -187,7 +178,7 @@ def entity_similarity_attr(values_left: ValueEmbeddingMatrix,
                            slots_left: np.ndarray,
                            slots_right: np.ndarray,
                            block_size: int = 1024,
-                           workers: int = 1) -> SimilarityMatrix:
+                           workers: int = 1) -> np.ndarray:
     """Entity scores: sum of slot-pair dot products over equal identifications.
 
     Computed per identification group as aggregate matrix products, blockwise
@@ -239,7 +230,7 @@ def entity_similarity_attr(values_left: ValueEmbeddingMatrix,
                for lane in lanes]
     with ThreadPoolExecutor(max_workers=max(len(lanes), 1)) as pool:
         list(pool.map(fill_blocks, lanes, buffers))
-    return SimilarityMatrix(scores, "attribute-view")
+    return scores
 
 
 @dataclass
@@ -251,7 +242,7 @@ class AttributeInference:
     value_pairs: set[tuple[ValueText, ValueText]]
 
 
-def infer_from_attribute_view(s_attr: SimilarityMatrix, store: AlignmentStore,
+def infer_from_attribute_view(s_attr: np.ndarray, store: AlignmentStore,
                               tau_e_attr: float, tau_v: float,
                               g: KnowledgeGraph, g2: KnowledgeGraph,
                               values_left: ValueEmbeddingMatrix,
@@ -265,7 +256,7 @@ def infer_from_attribute_view(s_attr: SimilarityMatrix, store: AlignmentStore,
     Value pairs are the co-occurring values of triples whose entity and
     attribute are both aligned.
     """
-    entities = infer_entity_pairs(s_attr.data, tau_e_attr, *store.taken_entities())
+    entities = infer_entity_pairs(s_attr, tau_e_attr, *store.taken_entities())
     known_pairs = sorted(store.ent_pairs | {(m, n) for m, n, _ in entities})
 
     # A proposal on a taken attribute is dropped by the one-to-one reduction,

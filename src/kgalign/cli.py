@@ -17,9 +17,9 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .attribute_model import read_similarity_dump, write_similarity_dump, SimilarityMatrix
-from .kg import ParseError, build_initial_seeds, load_graph, read_lines
-from .metrics import check_ks, evaluate, split_ills
+from .attribute_model import read_similarity_dump, write_similarity_dump
+from .kg import PROV_MERGED, ParseError, build_initial_seeds, load_graph, read_lines
+from .metrics import SimilarityMatrix, check_ks, evaluate, split_ills
 from .pipeline import (
     MERGE_MODES,
     VIEW_MODES,
@@ -186,19 +186,24 @@ def _pair_lines(path):
         yield lineno, parts[0], parts[1]
 
 
-def _read_pairs(path, g, g2) -> list[tuple[str, str]]:
+def _read_pairs(path, g, g2, linked=None) -> list[tuple[str, str]]:
     """Entity label pairs of an ILL file; each label must name an entity of its
-    graph and have one counterpart in the file (a repeated line is fine)."""
+    graph and have one counterpart in the file (a repeated line is fine).
+    ``linked`` maps (side, label) to (counterpart, file) for the earlier files
+    of one split; their entities must not recur here, and this file's join it."""
     pairs = []
-    linked: dict[tuple[str, str], str] = {}  # (side, label) -> first counterpart
+    linked = {} if linked is None else linked  # a file of None means this file
     for lineno, left, right in _pair_lines(path):
         for side, graph, label, other in (("left", g, left, right), ("right", g2, right, left)):
             if not graph.has_entity(label):
                 raise ParseError(path, lineno, f"unknown {side} entity {label!r}")
-            if linked.setdefault((side, label), other) != other:
+            first, where = linked.setdefault((side, label), (other, None))
+            if first != other or where is not None:
+                where = "" if where is None else f" in {where}"
                 raise ParseError(path, lineno, f"{side} entity {label!r} is already linked "
-                                               f"to {linked[side, label]!r}")
+                                               f"to {first!r}{where}")
         pairs.append((left, right))
+    linked.update({key: (other, where or path) for key, (other, where) in linked.items()})
     return pairs
 
 
@@ -226,9 +231,9 @@ def cmd_align(args) -> int:
              g2.num_entities, g2.num_relations, g2.num_attributes)
 
     if cfg.ill_train:
-        train = _read_pairs(cfg.ill_train, g, g2)
-        valid = _read_pairs(cfg.ill_valid, g, g2)
-        test = _read_pairs(cfg.ill_test, g, g2)
+        linked: dict = {}
+        train, valid, test = [_read_pairs(path, g, g2, linked)
+                              for path in (cfg.ill_train, cfg.ill_valid, cfg.ill_test)]
         if not test:
             raise ConfigError(f"{cfg.ill_test}: no test links to evaluate")
     else:
@@ -260,14 +265,14 @@ def cmd_align(args) -> int:
         export_embeddings(table.ent, g.ent_labels + g2.ent_labels, out / "ent_embeddings.tsv")
         export_embeddings(table.rel, g.rel_labels + g2.rel_labels, out / "rel_embeddings.tsv")
 
-    merged = SimilarityMatrix(result.merged_scores(), "merged")
+    merged = SimilarityMatrix(result.merged_scores(), PROV_MERGED)
     reports = []
     for name, view in (("attr", result.s_attr), ("rel", result.s_rel), ("merged", merged)):
         if view is None:
             continue
         reports.append(evaluate(view, test_ids, cfg.eval_ks))
         if cfg.dump_matrices:
-            write_similarity_dump(view, out / f"s_{name}.bin")
+            write_similarity_dump(view.data, out / f"s_{name}.bin")
 
     payload = {
         "converged": result.converged,

@@ -239,8 +239,6 @@ class AlignmentStore:
         self._attr_right: dict[int, int] = {}
 
     def _add(self, pairs, left_map, right_map, kind, left, right, provenance) -> bool:
-        if (left, right) in pairs:
-            return False
         if left in left_map or right in right_map:
             return False
         pairs.add((left, right))

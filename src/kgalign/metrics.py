@@ -7,7 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attribute_model import SimilarityMatrix
+
+@dataclass
+class SimilarityMatrix:
+    """Dense entity scores and the view that made them; rows index the left graph."""
+
+    data: np.ndarray
+    source: str  # "attribute-view", "relationship-view" or "merged"
 
 
 @dataclass

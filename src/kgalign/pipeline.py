@@ -20,7 +20,6 @@ import numpy as np
 
 from .attribute_model import (
     AttributeInference,
-    SimilarityMatrix,
     ValueEmbeddingMatrix,
     build_attr_slot_matrix,
     build_value_matrix,
@@ -37,6 +36,7 @@ from .kg import (
     greedy_one_to_one,
     infer_entity_pairs,
 )
+from .metrics import SimilarityMatrix
 from .relationship_model import (
     EmbeddingTable,
     TrainConfig,
@@ -284,9 +284,6 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
     table: TranslationTable | None = None
     values_left: ValueEmbeddingMatrix | None = None
     values_right: ValueEmbeddingMatrix | None = None
-    embeddings: EmbeddingTable | None = None
-    s_attr: SimilarityMatrix | None = None
-    s_rel: SimilarityMatrix | None = None
     records: list[IterationRecord] = []
     converged = False
 
@@ -335,7 +332,7 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
             timings["attribute_scores"] = time.perf_counter() - tick
 
             tick = time.perf_counter()
-            tau_attr = (tune_thresholds(valid_pairs, s_attr.data) if sweep
+            tau_attr = (tune_thresholds(valid_pairs, s_attr) if sweep
                         else settings.thresholds.tau_e_attr)
             used["tau_e_attr"] = tau_attr
             attr_inf = infer_from_attribute_view(s_attr, store, tau_attr,
@@ -355,14 +352,14 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
             timings["relationship_training"] = time.perf_counter() - tick
 
             tick = time.perf_counter()
-            tau_rel = (tune_thresholds(valid_pairs, s_rel.data) if sweep
+            tau_rel = (tune_thresholds(valid_pairs, s_rel) if sweep
                        else settings.thresholds.tau_e_rel)
             used["tau_e_rel"] = tau_rel
             rel_taken = (taken_left, taken_right)
             if mode == "M1":  # the attribute view's proposals count as taken
                 rel_taken = (taken_left | {m for m, _, _ in attr_inf.entities},
                              taken_right | {n for _, n, _ in attr_inf.entities})
-            rel_list = infer_entity_pairs(s_rel.data, tau_rel, *rel_taken)
+            rel_list = infer_entity_pairs(s_rel, tau_rel, *rel_taken)
             new_rel_pairs = infer_entity_pairs(rel_scores, settings.thresholds.tau_r,
                                                *store.taken_relations())
             timings["relationship_inference"] = time.perf_counter() - tick
@@ -371,7 +368,7 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
         if mode == "M1":
             entries = merge_standard(attr_inf.entities, rel_list)
         elif mode == "M2":
-            entries = merge_score(attr_inf.entities, rel_list, s_attr.data, s_rel.data)
+            entries = merge_score(attr_inf.entities, rel_list, s_attr, s_rel)
         else:
             entries = merge_rank(attr_inf.entities, rel_list)
         timings["merge"] = time.perf_counter() - tick
@@ -401,7 +398,9 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
             converged = True
             break
 
-    return PipelineResult(store, records, converged, s_attr, s_rel, embeddings)
+    return PipelineResult(store, records, converged,
+                          SimilarityMatrix(s_attr, PROV_ATTR) if use_attr else None,
+                          SimilarityMatrix(s_rel, PROV_REL) if use_rel else None, embeddings)
 
 
 def write_iteration_log(result: PipelineResult, path) -> None:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kg import AlignmentStore, KnowledgeGraph
-from .attribute_model import SimilarityMatrix
 
 LOG = logging.getLogger(__name__)
 
@@ -260,13 +259,13 @@ def train_transe(swapped: SwappedTriples, cfg: TrainConfig) -> EmbeddingTable:
 
 
 def entity_similarity_rel(table: EmbeddingTable, g: KnowledgeGraph,
-                          g2: KnowledgeGraph) -> SimilarityMatrix:
+                          g2: KnowledgeGraph) -> np.ndarray:
     """Dot products of left-graph against right-graph entity embeddings."""
     left = table.ent[:table.ent_split]
     right = table.ent[table.ent_split:]
     if left.shape[0] != g.num_entities or right.shape[0] != g2.num_entities:
         raise ValueError("embedding table does not cover both graphs")
-    return SimilarityMatrix(left @ right.T, "relationship-view")
+    return left @ right.T
 
 
 def relation_similarity(table: EmbeddingTable) -> np.ndarray:

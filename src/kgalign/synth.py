@@ -175,7 +175,8 @@ def write_dataset(result: SynthResult, out_dir) -> list[str]:
                     fh.write(f"{graph.ent_labels[h]}\t{graph.attr_labels[a]}\t{v.raw}\n")
             else:
                 for h, r, t in graph.rel_triples:
-                    fh.write(f"{graph.ent_labels[h]}\t{graph.rel_labels[r]}\t{graph.ent_labels[t]}\n")
+                    fh.write(f"{graph.ent_labels[h]}\t{graph.rel_labels[r]}\t"
+                             f"{graph.ent_labels[t]}\n")
 
     dump_triples(out / "rel_triples_1", result.left, False)
     dump_triples(out / "attr_triples_1", result.left, True)

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from kgalign.attribute_model import AttributeInference, SimilarityMatrix, ValueEmbeddingMatrix
+from kgalign.attribute_model import AttributeInference, ValueEmbeddingMatrix
 from kgalign.kg import (
     _CJK_RANGES,
     ValueText,
@@ -88,7 +88,7 @@ def entity_similarity_attr_dense(values_left, values_right, slots_left, slots_ri
     ids_l = slots_left[:, None, :, None]
     ids_r = slots_right[None, :, None, :]
     mask = (ids_l == ids_r) & (ids_l != -1)
-    return SimilarityMatrix((sims * mask).sum(axis=(2, 3)), "attribute-view")
+    return (sims * mask).sum(axis=(2, 3))
 
 
 def entity_similarity_attr_ix(values_left, values_right, slots_left, slots_right,
@@ -251,7 +251,7 @@ def infer_from_attribute_view_unskipped(s_attr, store, tau_e_attr, tau_v, g, g2,
                                         values_left, values_right):
     """The attribute view's inference with slot similarities computed for
     every known entity pair, whether or not its attributes are taken."""
-    entities = infer_entity_pairs(s_attr.data, tau_e_attr, *store.taken_entities())
+    entities = infer_entity_pairs(s_attr, tau_e_attr, *store.taken_entities())
     known_pairs = sorted(store.ent_pairs | {(m, n) for m, n, _ in entities})
     data_left = dense_values(values_left)
     data_right = dense_values(values_right)

@@ -71,7 +71,7 @@ def test_tensor_math_oracle():
     start = time.perf_counter()
     worst = 0.0
     for vl, vr, il, ir in tensor_fixtures():
-        fast = entity_similarity_attr(vl, vr, il, ir).data
+        fast = entity_similarity_attr(vl, vr, il, ir)
         expected = brute_force_scores(dense_values(vl), dense_values(vr), il, ir)
         worst = max(worst, float(np.abs(fast - expected).max()))
     elapsed = time.perf_counter() - start
@@ -82,8 +82,8 @@ def test_tensor_math_oracle():
 def test_factorization_identity():
     worst = 0.0
     for vl, vr, il, ir in tensor_fixtures():
-        fast = entity_similarity_attr(vl, vr, il, ir).data
-        dense = entity_similarity_attr_dense(vl, vr, il, ir).data
+        fast = entity_similarity_attr(vl, vr, il, ir)
+        dense = entity_similarity_attr_dense(vl, vr, il, ir)
         worst = max(worst, float(np.abs(fast - dense).max()))
     check("factorization-identity", worst <= 1e-6, f"max |diff| = {worst:.2e}")
 

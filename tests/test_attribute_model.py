@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 from kgalign import attribute_model
 from kgalign.attribute_model import (
     _DUMP_ROWS,
-    SimilarityMatrix,
     _group_aggregate,
     build_attr_slot_matrix,
     build_value_matrix,
@@ -180,8 +179,7 @@ class TestNumberingEquivalence:
         old = unified_slot_ids(values_l, values_r, frequent_l, frequent_r, attr_map.items())
         scores_new = entity_similarity_attr(values_l, values_r, *new, block_size, workers)
         scores_old = entity_similarity_attr(values_l, values_r, *old, block_size, workers)
-        np.testing.assert_array_equal(scores_new.data.view(np.int64),
-                                      scores_old.data.view(np.int64))
+        np.testing.assert_array_equal(scores_new.view(np.int64), scores_old.view(np.int64))
 
 
 class TestBuildValueMatrix:
@@ -255,11 +253,12 @@ class TestEntitySimilarity:
 
     def test_identical_embeddings_same_id(self):
         s = entity_similarity_attr(*self.unit_fixture(True))
-        assert s.data[0, 0] == pytest.approx(1.0)
+        assert type(s) is np.ndarray  # not a wrapper whose .data would be a memoryview
+        assert s[0, 0] == pytest.approx(1.0)
 
     def test_mask_kills_different_ids(self):
         s = entity_similarity_attr(*self.unit_fixture(False))
-        assert s.data[0, 0] == pytest.approx(0.0)
+        assert s[0, 0] == pytest.approx(0.0)
 
     def test_no_attribute_pairs_means_all_zero_scores(self):
         # without alignments no identification is shared across graphs
@@ -271,21 +270,21 @@ class TestEntitySimilarity:
         sl = build_attr_slot_matrix(vl, {})
         sr = build_attr_slot_matrix(vr, own_ids(all_attributes(g2)))
         s = entity_similarity_attr(vl, vr, sl, sr)
-        np.testing.assert_array_equal(s.data, 0.0)
+        np.testing.assert_array_equal(s, 0.0)
 
     def test_matches_brute_force_small(self):
         rng = np.random.default_rng(0)
         vl, vr, il, ir = random_fixture(rng, 2, 2, 2, 5)
         fast = entity_similarity_attr(vl, vr, il, ir)
         expected = brute_force_scores(dense_values(vl), dense_values(vr), il, ir)
-        np.testing.assert_allclose(fast.data, expected, atol=1e-6)
+        np.testing.assert_allclose(fast, expected, atol=1e-6)
 
     def test_fast_equals_dense_path(self):
         rng = np.random.default_rng(1)
         vl, vr, il, ir = random_fixture(rng, 7, 5, 4, 6)
         fast = entity_similarity_attr(vl, vr, il, ir)
         dense = entity_similarity_attr_dense(vl, vr, il, ir)
-        np.testing.assert_allclose(fast.data, dense.data, atol=1e-6)
+        np.testing.assert_allclose(fast, dense, atol=1e-6)
 
     def test_workers_bitwise_equal_blocking_close(self):
         rng = np.random.default_rng(2)
@@ -294,8 +293,8 @@ class TestEntitySimilarity:
         blocked = entity_similarity_attr(vl, vr, il, ir, block_size=3)
         threaded = entity_similarity_attr(vl, vr, il, ir, block_size=3, workers=4)
         # worker count must not change bits; block size may reassociate sums
-        np.testing.assert_array_equal(blocked.data, threaded.data)
-        np.testing.assert_allclose(base.data, blocked.data, atol=1e-12)
+        np.testing.assert_array_equal(blocked, threaded)
+        np.testing.assert_allclose(base, blocked, atol=1e-12)
 
     def test_mask_monotone_on_nonnegative_embeddings(self):
         # all-nonnegative vectors guarantee nonnegative dot products
@@ -309,7 +308,7 @@ class TestEntitySimilarity:
         values_r = compact_values(vr, np.array([[0, 1]] * 5))
         without = entity_similarity_attr(values_l, values_r, ids_l, np.array([[2, 1]] * 5))
         with_pair = entity_similarity_attr(values_l, values_r, ids_l, np.array([[0, 1]] * 5))
-        assert (with_pair.data >= without.data - 1e-12).all()
+        assert (with_pair >= without - 1e-12).all()
 
     def test_slot_permutation_invariance(self):
         rng = np.random.default_rng(4)
@@ -319,7 +318,7 @@ class TestEntitySimilarity:
         il2 = il[:, perm]
         vl2 = compact_values(dense_values(vl)[:, perm], il2)
         permuted = entity_similarity_attr(vl2, vr, il2, ir)
-        np.testing.assert_allclose(base.data, permuted.data, atol=1e-12)
+        np.testing.assert_allclose(base, permuted, atol=1e-12)
 
     def test_no_worker_without_a_block(self, monkeypatch):
         started = []
@@ -330,7 +329,7 @@ class TestEntitySimilarity:
         scores = entity_similarity_attr(*fixture, workers=8)
         assert len(started) == 1  # one 1024-row block, so one lane
         single = entity_similarity_attr(*fixture, workers=1)
-        np.testing.assert_array_equal(scores.data.view(np.int64), single.data.view(np.int64))
+        np.testing.assert_array_equal(scores.view(np.int64), single.view(np.int64))
 
     def test_dimension_mismatch_raises(self):
         rng = np.random.default_rng(5)
@@ -343,7 +342,7 @@ class TestEntitySimilarity:
         rng = np.random.default_rng(6)
         vl, vr, il, ir = random_fixture(rng, 6, 6, 3, 4)
         s = entity_similarity_attr(vl, vr, il, ir)
-        assert np.isfinite(s.data).all()
+        assert np.isfinite(s).all()
 
 
 COVERAGE = ("all", "some", "none")
@@ -395,7 +394,7 @@ class TestAccumulation:
         fixture = layout_fixture(seed, n, n2, modes)
         fast = entity_similarity_attr(*fixture, block_size=block_size, workers=workers)
         oracle = entity_similarity_attr_ix(*fixture, block_size=block_size, workers=workers)
-        np.testing.assert_array_equal(fast.data.view(np.int64), oracle.view(np.int64))
+        np.testing.assert_array_equal(fast.view(np.int64), oracle.view(np.int64))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 23),
@@ -428,8 +427,8 @@ class TestAccumulation:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert scores.data.nbytes == n * n2 * 8
-        assert peak < scores.data.nbytes + workers * block_size * n2 * 8 * 0.25
+        assert scores.nbytes == n * n2 * 8
+        assert peak < scores.nbytes + workers * block_size * n2 * 8 * 0.25
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory_of_partial_groups(self, workers):
@@ -454,7 +453,7 @@ class TestAccumulation:
         finally:
             tracemalloc.stop()
         chunk = 64 * n2 * 8
-        assert peak < (scores.data.nbytes + right_aggregates
+        assert peak < (scores.nbytes + right_aggregates
                        + workers * 1.25 * (largest + chunk))
 
 
@@ -462,7 +461,7 @@ class TestSimilarityDump:
     def test_round_trip(self, tmp_path):
         data = np.arange(12, dtype=np.float64).reshape(3, 4) / 7.0
         path = tmp_path / "s.bin"
-        write_similarity_dump(SimilarityMatrix(data, "attribute-view"), path)
+        write_similarity_dump(data, path)
         loaded = read_similarity_dump(path)
         assert loaded.shape == (3, 4)
         np.testing.assert_allclose(loaded, data, atol=1e-6)
@@ -472,7 +471,7 @@ class TestSimilarityDump:
         rng = np.random.default_rng(0)
         data = rng.standard_normal((2 * _DUMP_ROWS + 5, 3))
         path = tmp_path / "s.bin"
-        write_similarity_dump(SimilarityMatrix(data, "merged"), path)
+        write_similarity_dump(data, path)
         assert path.read_bytes() == struct.pack("<II", *data.shape) + data.astype("<f4").tobytes()
         loaded = read_similarity_dump(path)
         np.testing.assert_array_equal(loaded, data.astype(np.float32).astype(np.float64))

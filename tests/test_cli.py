@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kgalign import cli
-from kgalign.attribute_model import SimilarityMatrix, write_similarity_dump
+from kgalign.attribute_model import write_similarity_dump
 from kgalign.kg import KnowledgeGraph, ParseError
 from kgalign.pipeline import PipelineSettings, Thresholds
 from kgalign.synth import SynthSpec, generate_synth, write_dataset
@@ -285,6 +285,28 @@ class TestAlign:
         assert (f"{bad}:{len(lines) + 1}: left entity {left!r} is already linked "
                 f"to {right!r}") in caplog.text
 
+    @pytest.mark.parametrize("name", ["ill_train", "ill_valid"])
+    def test_split_files_overlap_exit_two_before_pipeline(self, dataset, tmp_path, caplog,
+                                                          monkeypatch, name):
+        # A train line repeats the first test link, or a valid line ties its
+        # left entity to another counterpart: either leaks test links.
+        def fail(*args, **kwargs):
+            raise AssertionError("run_pipeline called")
+
+        monkeypatch.setattr(cli, "run_pipeline", fail)
+        test_lines = (dataset / "ill_test").read_text(encoding="utf-8").splitlines()
+        left, right = test_lines[0].split("\t")
+        counterpart = right if name == "ill_train" else test_lines[1].split("\t")[1]
+        bad = tmp_path / name
+        bad.write_text((dataset / name).read_text(encoding="utf-8") + f"{left}\t{counterpart}\n",
+                       encoding="utf-8")
+        cfg = config_for(dataset, tmp_path / "out", **{name: str(bad)})
+        write_config(cfg, tmp_path / "c.ini")
+        assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
+        assert (f"{dataset / 'ill_test'}:1: left entity {left!r} is already linked "
+                f"to {counterpart!r} in {bad}") in caplog.text
+        assert not (tmp_path / "out").exists()
+
     def test_identical_runs_identical_dumps(self, dataset, tmp_path, capsys):
         for name in ("a", "b"):
             cfg = config_for(dataset, tmp_path / name)
@@ -353,7 +375,7 @@ class TestReadPairs:
 
 class TestEval:
     def test_identity_matrix(self, tmp_path, capsys):
-        write_similarity_dump(SimilarityMatrix(np.eye(4), "merged"), tmp_path / "s.bin")
+        write_similarity_dump(np.eye(4), tmp_path / "s.bin")
         (tmp_path / "test.tsv").write_text("0\t0\n1\t1\n2\t2\n")
         assert cli.main(["eval", "--matrix", str(tmp_path / "s.bin"),
                          "--test", str(tmp_path / "test.tsv")]) == 0
@@ -361,7 +383,7 @@ class TestEval:
         assert payload["hr"]["1"] == 1.0
 
     def test_k_list_controls_report_keys(self, tmp_path, capsys):
-        write_similarity_dump(SimilarityMatrix(np.eye(4), "merged"), tmp_path / "s.bin")
+        write_similarity_dump(np.eye(4), tmp_path / "s.bin")
         (tmp_path / "test.tsv").write_text("0\t0\n")
         assert cli.main(["eval", "--matrix", str(tmp_path / "s.bin"),
                          "--test", str(tmp_path / "test.tsv"), "--ks", "1,10"]) == 0
@@ -372,7 +394,7 @@ class TestEval:
         from kgalign.metrics import evaluate
         rng = np.random.default_rng(31)
         scores = rng.random((5, 5)).astype(np.float32).astype(np.float64)
-        write_similarity_dump(SimilarityMatrix(scores, "merged"), tmp_path / "s.bin")
+        write_similarity_dump(scores, tmp_path / "s.bin")
         pairs = [(i, int(rng.integers(0, 5))) for i in range(5)]
         (tmp_path / "t.tsv").write_text("".join(f"{m}\t{n}\n" for m, n in pairs))
         assert cli.main(["eval", "--matrix", str(tmp_path / "s.bin"),
@@ -386,7 +408,7 @@ class TestEval:
                                                   ("0\t0\nx\t1\n", 2)])
     def test_malformed_index_line_exit_two_with_location(self, tmp_path, caplog,
                                                          content, lineno):
-        write_similarity_dump(SimilarityMatrix(np.eye(2), "merged"), tmp_path / "s.bin")
+        write_similarity_dump(np.eye(2), tmp_path / "s.bin")
         (tmp_path / "t.tsv").write_text(content)
         assert cli.main(["eval", "--matrix", str(tmp_path / "s.bin"),
                          "--test", str(tmp_path / "t.tsv")]) == 2
@@ -394,7 +416,7 @@ class TestEval:
 
     @pytest.mark.parametrize("ks", ["0", "", "1,0"])
     def test_empty_or_nonpositive_ks_exit_two(self, tmp_path, capsys, caplog, ks):
-        write_similarity_dump(SimilarityMatrix(np.eye(2), "merged"), tmp_path / "s.bin")
+        write_similarity_dump(np.eye(2), tmp_path / "s.bin")
         (tmp_path / "t.tsv").write_text("0\t0\n")
         assert cli.main(["eval", "--matrix", str(tmp_path / "s.bin"),
                          "--test", str(tmp_path / "t.tsv"), "--ks", ks]) == 2

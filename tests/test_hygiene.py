@@ -1,6 +1,7 @@
 """Source hygiene: every name a library module imports is used in it, every
-public definition is used by the library or the benchmark, and no dataclass
-merely wraps one field."""
+public definition is used by the library or the benchmark, no dataclass
+merely wraps one field, the view and metric modules import only the graph
+and translator layers, and no line is longer than 99 columns."""
 
 import ast
 from pathlib import Path
@@ -113,3 +114,37 @@ def test_detects_one_field_dataclasses():
               "@dataclass\nclass C:\n    x: int\n    y: int\n"
               "class D:\n    x: int\n")
     assert one_field_dataclasses(source) == ["A", "B"]
+
+
+def package_imports(source):
+    """Bare names of the package modules that ``source`` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names if a.name.startswith("kgalign.")}
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("kgalign"):
+            parts = node.module.split(".")
+            names |= {parts[1]} if len(parts) > 1 else {a.name for a in node.names}
+    return names
+
+
+@pytest.mark.parametrize("name", ["attribute_model", "relationship_model", "metrics"])
+def test_views_and_metrics_stand_on_graph_and_translator_only(name):
+    # Each view scores on its own, and evaluation reads only the arrays they
+    # return, so none of these imports another view or the pipeline.
+    source = (SRC / f"{name}.py").read_text(encoding="utf-8")
+    assert package_imports(source) <= {"kg", "translator"}
+
+
+def test_detects_package_imports():
+    source = ("import numpy\nimport kgalign.cli\nfrom . import metrics\nfrom .kg import A\n"
+              "from kgalign.pipeline import B\nfrom kgalign import synth\n")
+    assert package_imports(source) == {"cli", "metrics", "kg", "pipeline", "synth"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_lines_fit_in_99_columns(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [n for n, line in enumerate(lines, 1) if len(line) > 99] == []

@@ -325,6 +325,15 @@ class TestAlignmentStore:
         assert store.add_ent_pair(1, 1, "seed")
         assert store.ent_pairs == {(0, 0), (1, 1)}
 
+    @pytest.mark.parametrize("kind", ["ent", "rel", "attr"])
+    def test_readding_a_pair_keeps_its_first_provenance(self, kind):
+        store = AlignmentStore()
+        add = getattr(store, f"add_{kind}_pair")
+        assert add(2, 3, "seed")
+        assert not add(2, 3, "merged")
+        assert getattr(store, f"{kind}_pairs") == {(2, 3)}
+        assert store.provenance == {(kind, 2, 3): "seed"}
+
     def test_provenance_tracked(self):
         store = AlignmentStore()
         store.add_ent_pair(0, 0, "seed")

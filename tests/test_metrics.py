@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kgalign.attribute_model import SimilarityMatrix
-from kgalign.metrics import EvalReport, evaluate, split_ills
+from kgalign.metrics import EvalReport, SimilarityMatrix, evaluate, split_ills
 from oracles import evaluate_masked
 
 # Few distinct values, so rows tie often; NaN compares unequal to itself.

@@ -530,6 +530,15 @@ class TestRunPipeline:
         assert [r.counts["merged"] for r in result.records] == [12, 27, 0]
         assert digest == "fcae10c164601807555d7a85f44c4778f14e6fc1d34afcb1058d54157ee95004"
 
+    @pytest.mark.parametrize("views", ["attr", "both"])
+    def test_renamed_runs_add_only_true_value_pairs(self, tmp_path, views):
+        res, g2 = renamed_synth()
+        seeds = build_initial_seeds(res.left, g2, res.ill_train)
+        result, _ = renamed_run(views, tmp_path / "alignments.tsv")
+        new = result.store.val_pairs - seeds.val_pairs
+        assert len(new) == sum(r.counts["new_val"] for r in result.records)
+        assert new <= res.truth.val_pairs
+
     def test_alignment_dump_format(self, tmp_path):
         from kgalign.pipeline import write_alignment_dump
         g, g2 = identical_graphs()
@@ -636,6 +645,31 @@ class TestMergeDigests:
         assert digests == {digest}
 
 
+def test_alignment_does_not_depend_on_workers(tmp_path):
+    # 1100 left entities span two 1024-row scoring blocks, one per worker.
+    res = generate_synth(SynthSpec(n_entities=1100, rng_seed=1))
+    g, g2 = res.left, res.right
+    seeds = build_initial_seeds(g, g2, res.ill_train)
+    valid = [(g.entity_id(a), g2.entity_id(b)) for a, b in res.ill_valid]
+    dumps = []
+    for workers in (1, 2):
+        settings = PipelineSettings(m_slots=10, min_count=5, value_dim=50, views="attr",
+                                    thresholds=Thresholds(tuning="validation-sweep"),
+                                    workers=workers)
+        result = run_pipeline(g, g2, seeds, settings, max_iterations=2, valid_pairs=valid)
+        assert result.records[0].counts["merged"] > 0
+        write_alignment_dump(result.store, g, g2, tmp_path / f"{workers}.tsv")
+        dumps.append((tmp_path / f"{workers}.tsv").read_bytes())
+    assert dumps[0] == dumps[1]
+
+
+def test_result_labels_each_view(joint_fixture, tmp_path):
+    # The benchmark keys its per-view reports by these labels.
+    result, _ = joint_run(joint_fixture, "both", "M3", tmp_path / "a.tsv")
+    assert result.s_attr.source == "attribute-view"
+    assert result.s_rel.source == "relationship-view"
+
+
 def test_previous_round_products_released(joint_fixture, tmp_path, monkeypatch):
     # A round's dense products must be gone before the next round builds its
     # own, so at most one matrix per view is alive at a time.
@@ -657,6 +691,6 @@ def test_previous_round_products_released(joint_fixture, tmp_path, monkeypatch):
     result, _ = joint_run(joint_fixture, "both", "M3", tmp_path / "a.tsv")
     assert len(result.records) == 3
     assert [len(r) for r in refs.values()] == [3, 3, 3]
-    assert refs["entity_similarity_attr"][-1]() is result.s_attr
-    assert refs["entity_similarity_rel"][-1]() is result.s_rel
+    assert refs["entity_similarity_attr"][-1]() is result.s_attr.data
+    assert refs["entity_similarity_rel"][-1]() is result.s_rel.data
     assert refs["train_transe"][-1]() is result.embeddings
