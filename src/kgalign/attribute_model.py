@@ -19,9 +19,11 @@ graph's per-group aggregates (at most N' * m_slots * D floats, built slot by
 slot) and one product buffer per worker, as large as the largest product that
 worker forms.  The first group that touches a block is multiplied straight
 into it when it covers every row and every column, so it needs no buffer.
-Every later product is added through ``np.ix_`` ``_CHUNK_ROWS`` rows at a
-time, so an add gathers at most a chunk-sized copy.  Inference scans the
-output in row blocks (``infer_entity_pairs``) and builds no N x N' mask.
+Every later product is added ``_ADD_ROWS`` rows at a time by one
+``np.add.at`` on the block's flat view, so an add gathers no copy; its cell
+indices go into one more buffer per worker, of ``_ADD_ROWS`` x N' intp.
+Inference scans the output in row blocks (``infer_entity_pairs``) and builds
+no N x N' mask.
 """
 
 from __future__ import annotations
@@ -138,7 +140,11 @@ def _check_shapes(values_left, values_right, slots_left, slots_right):
         raise ValueError("right value and identification shapes differ")
 
 
-_CHUNK_ROWS = 64  # product rows added per step where a group misses part of a block
+# Product rows added by one ``np.add.at`` on a block's flat view.  A call per
+# row (about 16,000 a round at N=4000) holds the GIL for most of its time, so
+# a second worker gains nothing; 16 rows make 16 times fewer calls, and their
+# index buffer is 16 block rows.
+_ADD_ROWS = 16
 
 
 def _group_aggregate(vectors: np.ndarray, index: np.ndarray, ids: np.ndarray, ident: int):
@@ -197,12 +203,13 @@ def entity_similarity_attr(values_left: ValueEmbeddingMatrix,
                                                slots_right, ident))
                     for ident in shared]
 
-    def fill_blocks(starts, buffer: np.ndarray) -> None:
+    def fill_blocks(starts, buffer: np.ndarray, index_buffer: np.ndarray) -> None:
         for start in starts:
             stop = min(start + block_size, n)
             ids_block = slots_left[start:stop]
             index_block = values_left.index[start:stop]
             out = scores[start:stop]
+            flat = out.reshape(-1)
             first = True
             for ident, cols, right_agg in right_groups:
                 rows, left_agg = _group_aggregate(values_left.vectors, index_block, ids_block,
@@ -215,21 +222,25 @@ def entity_similarity_attr(values_left: ValueEmbeddingMatrix,
                 else:
                     product = buffer[:rows.size * cols.size].reshape(rows.size, cols.size)
                     np.matmul(left_agg, right_agg.T, out=product)
-                    for chunk in range(0, rows.size, _CHUNK_ROWS):
-                        part = slice(chunk, chunk + _CHUNK_ROWS)
-                        out[np.ix_(rows[part], cols)] += product[part]
+                    for chunk in range(0, rows.size, _ADD_ROWS):
+                        part = rows[chunk:chunk + _ADD_ROWS]
+                        cells = index_buffer[:part.size * cols.size].reshape(part.size, cols.size)
+                        np.add(part[:, None] * n2, cols, out=cells)
+                        np.add.at(flat, cells.ravel(), product[chunk:chunk + part.size].ravel())
                 first = False
 
     # Worker w fills blocks w, w + workers, ...; no worker is left without a
-    # block.  Its product buffer is made here, in the calling thread, as large
-    # as the largest product it forms.
+    # block.  Its buffers are made here, in the calling thread: one as large
+    # as the largest product it forms, and one for the flat cell indices of
+    # ``_ADD_ROWS`` block rows.
     starts = range(0, n, block_size)
     lanes = [starts[w::workers] for w in range(min(workers, len(starts)))]
     buffers = [np.empty(max((_largest_product(slots_left[s:s + block_size], right_groups, n2)
                              for s in lane), default=0))
                for lane in lanes]
+    index_buffers = [np.empty(_ADD_ROWS * n2, dtype=np.intp) for _ in lanes]
     with ThreadPoolExecutor(max_workers=max(len(lanes), 1)) as pool:
-        list(pool.map(fill_blocks, lanes, buffers))
+        list(pool.map(fill_blocks, lanes, buffers, index_buffers))
     return scores
 
 

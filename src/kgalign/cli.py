@@ -187,8 +187,9 @@ def _pair_lines(path):
 
 
 def _read_pairs(path, g, g2, linked=None) -> list[tuple[str, str]]:
-    """Entity label pairs of an ILL file; each label must name an entity of its
-    graph and have one counterpart in the file (a repeated line is fine).
+    """Entity label pairs of an ILL file, a repeated line kept once, in
+    first-seen order; each label must name an entity of its graph and have
+    one counterpart in the file.
     ``linked`` maps (side, label) to (counterpart, file) for the earlier files
     of one split; their entities must not recur here, and this file's join it."""
     pairs = []
@@ -204,7 +205,7 @@ def _read_pairs(path, g, g2, linked=None) -> list[tuple[str, str]]:
                                                f"to {first!r}{where}")
         pairs.append((left, right))
     linked.update({key: (other, where or path) for key, (other, where) in linked.items()})
-    return pairs
+    return list(dict.fromkeys(pairs))
 
 
 def _resolve_pairs(g, g2, label_pairs):

@@ -1,6 +1,7 @@
 """Reference implementations that the fast paths are checked against; slow by
 design and used only by the tests."""
 
+import hashlib
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -236,11 +237,30 @@ def train_translation_loop(pairs, iterations):
     return TranslationTable(probs, best, log_likelihoods)
 
 
+def seeded_unit_vector(seed, dimension):
+    """``standard_normal`` of a fresh ``Generator(PCG64(seed))``,
+    L2-normalized; the first basis vector should the draw have norm 0."""
+    vec = np.random.Generator(np.random.PCG64(seed)).standard_normal(dimension)
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        vec = np.zeros(dimension)
+        vec[0] = 1.0
+        return vec
+    return vec / norm
+
+
+def token_vector(token, dimension):
+    """One token's unit vector, its generator built for it alone from the
+    token's 8-byte blake2b digest read little-endian."""
+    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+    return seeded_unit_vector(int.from_bytes(digest, "little"), dimension)
+
+
 def embed_value(provider, value):
     """Mean of per-token unit vectors, L2-normalized; zero for empty values."""
     if not value.tokens:
         return np.zeros(provider.dimension)
-    mean = np.mean([provider.vector(tok) for tok in value.tokens], axis=0)
+    mean = np.mean(provider.vectors(list(value.tokens)), axis=0)
     norm = float(np.linalg.norm(mean))
     if norm < 1e-12:
         return np.zeros(provider.dimension)

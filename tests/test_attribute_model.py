@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kgalign import attribute_model
 from kgalign.attribute_model import (
+    _ADD_ROWS,
     _DUMP_ROWS,
     _group_aggregate,
     build_attr_slot_matrix,
@@ -244,7 +245,7 @@ class TestBuildValueMatrix:
 class TestEntitySimilarity:
     def unit_fixture(self, same_id):
         provider = WordVectorProvider(8)
-        vec = provider.vector("x")
+        vec = provider.vectors(["x"])[0]
         ids = np.array([[0]])
         ids2 = np.array([[0 if same_id else 1]])
         values = compact_values(vec.reshape(1, 1, 8).copy(), ids)
@@ -433,7 +434,8 @@ class TestAccumulation:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory_of_partial_groups(self, workers):
         # Groups partial on the columns, on the rows and on both: each worker
-        # holds one product buffer and gathers one 64-row chunk per add.
+        # holds one product buffer and one index buffer of _ADD_ROWS block
+        # rows, and its adds gather no copy.
         n, n2, block_size = 2100, 300, 1024
         fixture = layout_fixture(3, n, n2, [("all", "some"), ("some", "all"), ("some", "some")])
         values_l, values_r, slots_l, slots_r = fixture
@@ -452,9 +454,8 @@ class TestAccumulation:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        chunk = 64 * n2 * 8
-        assert peak < (scores.nbytes + right_aggregates
-                       + workers * 1.25 * (largest + chunk))
+        cells = _ADD_ROWS * n2 * np.dtype(np.intp).itemsize
+        assert peak < scores.nbytes + right_aggregates + workers * (1.25 * largest + cells)
 
 
 class TestSimilarityDump:

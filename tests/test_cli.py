@@ -11,6 +11,7 @@ import pytest
 from kgalign import cli
 from kgalign.attribute_model import write_similarity_dump
 from kgalign.kg import KnowledgeGraph, ParseError
+from kgalign.metrics import split_ills
 from kgalign.pipeline import PipelineSettings, Thresholds
 from kgalign.synth import SynthSpec, generate_synth, write_dataset
 
@@ -362,8 +363,19 @@ class TestReadPairs:
     def test_repeated_line_accepted(self, tmp_path):
         path = tmp_path / "ill"
         path.write_text("e0\tf0\ne1\tf1\ne0\tf0\n", encoding="utf-8")
-        assert cli._read_pairs(path, *self.graphs()) == [("e0", "f0"), ("e1", "f1"),
-                                                         ("e0", "f0")]
+        assert cli._read_pairs(path, *self.graphs()) == [("e0", "f0"), ("e1", "f1")]
+
+    def test_repeated_lines_stay_on_one_side_of_the_split(self, tmp_path):
+        # Kept twice, a repeated link is permuted as two links, and its
+        # copies can land in train and in test.
+        g = KnowledgeGraph([(f"e{i}", "r", f"e{i + 1}") for i in range(30)], [])
+        g2 = KnowledgeGraph([(f"f{i}", "r", f"f{i + 1}") for i in range(30)], [])
+        links = [f"e{i}\tf{i}\n" for i in range(30)]
+        path = tmp_path / "ill"
+        path.write_text("".join(links[:10] + links), encoding="utf-8")
+        train, valid, test = split_ills(cli._read_pairs(path, g, g2), rng_seed=0)
+        assert sorted(train + valid + test) == sorted((f"e{i}", f"f{i}") for i in range(30))
+        assert (len(train), len(valid), len(test)) == (8, 2, 20)
 
     def test_right_entity_linked_twice(self, tmp_path):
         path = tmp_path / "ill"

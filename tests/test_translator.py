@@ -11,11 +11,13 @@ from hypothesis.extra import numpy as hnp
 from kgalign.kg import ValueText, tokenize
 from kgalign.translator import (
     WordVectorProvider,
+    _pcg64_states,
+    _unit_vectors,
     embed_values,
     train_translation,
     translate_tokens,
 )
-from oracles import embed_value, train_translation_loop
+from oracles import embed_value, seeded_unit_vector, token_vector, train_translation_loop
 
 
 def V(raw):
@@ -205,14 +207,44 @@ class TestUpdateTranslation:
 class TestWordVectors:
     def test_unit_norm_and_determinism(self):
         provider = WordVectorProvider(64)
-        v1 = provider.vector("paris")
-        v2 = WordVectorProvider(64).vector("paris")
+        v1 = provider.vectors(["paris"])[0]
+        v2 = WordVectorProvider(64).vectors(["paris"])[0]
         assert np.linalg.norm(v1) == pytest.approx(1.0)
         np.testing.assert_array_equal(v1, v2)
 
     def test_distinct_tokens_differ(self):
-        provider = WordVectorProvider(64)
-        assert abs(float(provider.vector("a") @ provider.vector("b"))) < 0.9
+        a, b = WordVectorProvider(64).vectors(["a", "b"])
+        assert abs(float(a @ b)) < 0.9
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    def test_bulk_seeding_equals_fresh_generator_at_word_edges(self, seed):
+        # A seed below 2**32 enters SeedSequence as one 32-bit word, a larger
+        # one as two.  The reused generator has drawn before, as it has for
+        # every token of a build but the first.
+        generator = np.random.Generator(np.random.PCG64(7))
+        generator.standard_normal(3)
+        seeds = np.array([seed, seed], dtype=np.uint64)
+        for dimension in (1, 3, 50):
+            for vec in _unit_vectors(generator, seeds, dimension):
+                assert vec.tobytes() == seeded_unit_vector(seed, dimension).tobytes()
+        assert _pcg64_states(seeds[:1]) == [tuple(
+            np.random.PCG64(seed).state["state"][key] for key in ("state", "inc"))]
+
+    @given(st.lists(st.one_of(st.text(min_size=1, max_size=4),
+                              st.text(st.characters(min_codepoint=0x4E00, max_codepoint=0x9FFF),
+                                      min_size=1, max_size=3),
+                              st.from_regex(r"[0-9]{1,20}", fullmatch=True),
+                              st.text(min_size=200, max_size=600)),
+                    max_size=12),
+           st.integers(1, 60))
+    def test_bulk_vectors_equal_per_token_generators(self, tokens, dimension):
+        provider = WordVectorProvider(dimension)
+        half = len(tokens) // 2
+        # a second call seeds only the tokens the first did not see
+        rows = np.concatenate([provider.vectors(tokens[:half]), provider.vectors(tokens)])
+        assert rows.shape == (half + len(tokens), dimension)
+        for row, token in zip(rows, tokens[:half] + tokens):
+            assert row.tobytes() == token_vector(token, dimension).tobytes()
 
     def test_dimension_validated(self):
         with pytest.raises(ValueError):
@@ -222,7 +254,7 @@ class TestWordVectors:
 class TestEmbedValue:
     def test_single_token_is_unit_vector(self):
         provider = WordVectorProvider(32)
-        np.testing.assert_allclose(embed_value(provider, V("a")), provider.vector("a"))
+        np.testing.assert_allclose(embed_value(provider, V("a")), provider.vectors(["a"])[0])
 
     def test_self_similarity_is_one(self):
         provider = WordVectorProvider(32)
@@ -254,8 +286,9 @@ class TestEmbedValues:
 
     def test_cancelling_tokens_embed_to_zero(self):
         class Opposite(WordVectorProvider):
-            def vector(self, token):
-                return np.array([1.0 if token == "up" else -1.0, 0.0, 0.0, 0.0])
+            def vectors(self, tokens):
+                return np.array([[1.0 if token == "up" else -1.0, 0.0, 0.0, 0.0]
+                                 for token in tokens])
 
         provider = Opposite(4)
         values = [("up", "down"), (), ("up",)]
