@@ -6,10 +6,18 @@ to dense integer ids per graph, triples are deduplicated, and all traversals
 are deterministic.  Alignment state between two graphs lives in
 :class:`AlignmentStore`; an entity is open for inference exactly when the
 store has not aligned it.
+
+Loading a graph allocates one tuple per row, and those tuples live as long
+as the graph does, so the cyclic garbage collector would walk them again on
+every full pass without ever freeing one.  :func:`load_graph` (and the
+pipeline's bootstrap) therefore pause the collector while they run and
+restore it afterwards; reference counting still frees everything they drop.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -69,14 +77,15 @@ class ParseError(ValueError):
 def read_lines(path):
     """``(lineno, line)`` per line of a UTF-8 text file, without the line end.
 
+    Lines end at ``\n``, ``\r\n`` or a lone ``\r``, as when iterating over
+    the file in text mode; other Unicode line breaks stay inside the line.
     A line that is not valid UTF-8 raises :class:`ParseError` at that line.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                yield lineno, line.rstrip("\n").rstrip("\r")
+            text = fh.read()  # universal newlines: every line end is now "\n"
     except UnicodeDecodeError:
-        # Text mode decodes in chunks, so find the line from the raw bytes.
+        # The decoder reports a byte offset, so find the line from the raw bytes.
         with open(path, "rb") as fh:
             for lineno, raw in enumerate(fh.read().splitlines(), 1):
                 try:
@@ -84,6 +93,10 @@ def read_lines(path):
                 except UnicodeDecodeError as exc:
                     raise ParseError(path, lineno, f"not valid UTF-8 ({exc.reason})") from None
         raise
+    lines = text.split("\n")
+    if lines[-1] == "":  # the end of the last line, or an empty file
+        lines.pop()
+    yield from enumerate(lines, 1)
 
 
 def _read_triple_file(path) -> list[tuple[str, str, str]]:
@@ -106,38 +119,33 @@ class KnowledgeGraph:
     """
 
     def __init__(self, rel_rows, attr_rows):
-        self._ent_ids: dict[str, int] = {}
-        self._rel_ids: dict[str, int] = {}
-        self._attr_ids: dict[str, int] = {}
-        rel_triples: set[tuple[int, int, int]] = set()
-        attr_triples: set[tuple[int, int, ValueText]] = set()
-        for h, r, t in rel_rows:
-            rel_triples.add((self._intern(self._ent_ids, h),
-                             self._intern(self._rel_ids, r),
-                             self._intern(self._ent_ids, t)))
-        texts: dict[str, ValueText] = {}  # one ValueText per literal
-        for h, a, v in attr_rows:
+        ents: dict[str, int] = {}
+        rels: dict[str, int] = {}
+        attrs: dict[str, int] = {}
+        # Rows are deduplicated and sorted as plain tuples of ids and literals,
+        # which hash in C; each distinct literal then gets one ValueText.
+        rel_triples = {(ents.setdefault(h, len(ents)), rels.setdefault(r, len(rels)),
+                        ents.setdefault(t, len(ents))) for h, r, t in rel_rows}
+        attr_triples = sorted({(ents.setdefault(h, len(ents)), attrs.setdefault(a, len(attrs)), v)
+                               for h, a, v in attr_rows})
+        texts: dict[str, ValueText] = {}
+        for i, (h, a, v) in enumerate(attr_triples):
             text = texts.get(v)
             if text is None:
                 text = texts[v] = ValueText.from_raw(v)
-            attr_triples.add((self._intern(self._ent_ids, h),
-                              self._intern(self._attr_ids, a),
-                              text))
-        self.ent_labels = self._labels(self._ent_ids)
-        self.rel_labels = self._labels(self._rel_ids)
-        self.attr_labels = self._labels(self._attr_ids)
+            # In place: each key tuple is freed as its triple is made, which
+            # keeps one list of rows alive and holds the peak memory down.
+            attr_triples[i] = (h, a, text)
+        self._ent_ids, self._rel_ids, self._attr_ids = ents, rels, attrs
+        self.ent_labels = self._labels(ents)
+        self.rel_labels = self._labels(rels)
+        self.attr_labels = self._labels(attrs)
         self.rel_triples = sorted(rel_triples)
-        self.attr_triples = sorted(attr_triples, key=lambda x: (x[0], x[1], x[2].raw))
+        self.attr_triples = attr_triples
         self._attrs_by_entity: dict[int, list[tuple[int, ValueText]]] = {}
         for h, a, v in self.attr_triples:
             self._attrs_by_entity.setdefault(h, []).append((a, v))
         self.attribute_counts = Counter(a for _, a, _ in self.attr_triples)
-
-    @staticmethod
-    def _intern(table: dict[str, int], label: str) -> int:
-        if label not in table:
-            table[label] = len(table)
-        return table[label]
 
     @staticmethod
     def _labels(table: dict[str, int]) -> list[str]:
@@ -190,8 +198,32 @@ class KnowledgeGraph:
         return self._attrs_by_entity.get(entity, [])
 
 
+def _without_cyclic_gc(func):
+    """Run ``func`` with the cyclic garbage collector paused.
+
+    The collector is turned back on afterwards, also when ``func`` raises,
+    but only if it was on when the call started.
+    """
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_without_cyclic_gc
 def load_graph(rel_path, attr_path) -> KnowledgeGraph:
-    """Read one graph from tab-separated relationship and attribute files."""
+    """Read one graph from tab-separated relationship and attribute files.
+
+    The cyclic garbage collector is paused during the call (see the module
+    docstring).
+    """
     return KnowledgeGraph(_read_triple_file(rel_path), _read_triple_file(attr_path))
 
 

@@ -70,10 +70,11 @@ def evaluate(matrix, test_pairs, ks=(1, 10), source=None) -> EvalReport:
 def split_ills(pairs, ratios=(4, 1, 10), rng_seed: int = 0):
     """Disjoint, exhaustive train/valid/test split in the given proportion.
 
-    Sizes are floored by ratio; the remainder goes to test.  Deterministic
-    for a fixed seed.
+    A repeated pair is kept once, where it first occurs, so that no pair
+    lands in two parts.  Sizes are floored by ratio; the remainder goes to
+    test.  Deterministic for a fixed seed.
     """
-    pairs = list(pairs)
+    pairs = list(dict.fromkeys(pairs))
     n = len(pairs)
     if n < 15:
         raise ValueError(f"need at least 15 pairs to split, got {n}")

@@ -32,6 +32,7 @@ from .kg import (
     PROV_REL,
     AlignmentStore,
     KnowledgeGraph,
+    _without_cyclic_gc,
     frequent_attributes,
     greedy_one_to_one,
     infer_entity_pairs,
@@ -255,6 +256,7 @@ def check_thresholds(settings: PipelineSettings, valid_pairs) -> bool:
     return False
 
 
+@_without_cyclic_gc
 def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
                  settings: PipelineSettings | None = None, merge_mode: str = "M3",
                  max_iterations: int = 10, valid_pairs=None) -> PipelineResult:
@@ -265,7 +267,10 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
     ``valid_pairs`` are (left id, right id) entity pairs used only for
     threshold sweeps; ``check_thresholds`` runs before the first round.
     Structure training reseeds per iteration from the configured seed so
-    reruns are reproducible end to end.
+    reruns are reproducible end to end.  The cyclic garbage collector is
+    paused during the call and restored afterwards: the rounds allocate
+    and drop many objects but make no reference cycles, and the graphs'
+    row tuples would otherwise be walked again on every full pass.
     """
     if merge_mode not in MERGE_MODES:
         raise ValueError(f"merge_mode must be one of {MERGE_MODES}, got {merge_mode!r}")

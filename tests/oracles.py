@@ -11,6 +11,8 @@ import numpy as np
 from kgalign.attribute_model import AttributeInference, ValueEmbeddingMatrix
 from kgalign.kg import (
     _CJK_RANGES,
+    KnowledgeGraph,
+    ParseError,
     ValueText,
     cooccurring_values,
     greedy_one_to_one,
@@ -303,3 +305,73 @@ def attribute_index_per_row(g, attr_rows):
     for h, a, v in triples:
         by_entity.setdefault(h, []).append((a, v))
     return triples, by_entity, Counter(a for _, a, _ in triples)
+
+
+def read_lines_per_line(path):
+    """``kg.read_lines`` by text-mode iteration over the file, one line at a time."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                yield lineno, line.rstrip("\n").rstrip("\r")
+    except UnicodeDecodeError:
+        # Text mode decodes in chunks, so find the line from the raw bytes.
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh.read().splitlines(), 1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(path, lineno, f"not valid UTF-8 ({exc.reason})") from None
+        raise
+
+
+def read_triple_file_per_line(path):
+    rows = []
+    for lineno, line in read_lines_per_line(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(path, lineno, f"expected 3 tab-separated fields, got {len(parts)}")
+        rows.append((parts[0], parts[1], parts[2]))
+    return rows
+
+
+def _intern(table, label):
+    if label not in table:
+        table[label] = len(table)
+    return table[label]
+
+
+class GraphPerRow(KnowledgeGraph):
+    """A ``KnowledgeGraph`` that interns one label at a time and deduplicates
+    attribute rows as (entity, attribute, ``ValueText``) triples."""
+
+    def __init__(self, rel_rows, attr_rows):
+        self._ent_ids = {}
+        self._rel_ids = {}
+        self._attr_ids = {}
+        rel_triples = set()
+        attr_triples = set()
+        for h, r, t in rel_rows:
+            rel_triples.add((_intern(self._ent_ids, h), _intern(self._rel_ids, r),
+                             _intern(self._ent_ids, t)))
+        texts = {}  # one ValueText per literal
+        for h, a, v in attr_rows:
+            text = texts.get(v)
+            if text is None:
+                text = texts[v] = ValueText.from_raw(v)
+            attr_triples.add((_intern(self._ent_ids, h), _intern(self._attr_ids, a), text))
+        self.ent_labels = self._labels(self._ent_ids)
+        self.rel_labels = self._labels(self._rel_ids)
+        self.attr_labels = self._labels(self._attr_ids)
+        self.rel_triples = sorted(rel_triples)
+        self.attr_triples = sorted(attr_triples, key=lambda x: (x[0], x[1], x[2].raw))
+        self._attrs_by_entity = {}
+        for h, a, v in self.attr_triples:
+            self._attrs_by_entity.setdefault(h, []).append((a, v))
+        self.attribute_counts = Counter(a for _, a, _ in self.attr_triples)
+
+
+def load_graph_per_line(rel_path, attr_path):
+    """``kg.load_graph`` through ``read_lines_per_line`` and ``GraphPerRow``."""
+    return GraphPerRow(read_triple_file_per_line(rel_path), read_triple_file_per_line(attr_path))

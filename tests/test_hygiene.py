@@ -1,7 +1,8 @@
 """Source hygiene: every name a library module imports is used in it, every
 public definition is used by the library or the benchmark, no dataclass
 merely wraps one field, the view and metric modules import only the graph
-and translator layers, and no line is longer than 99 columns."""
+and translator layers, only the pause helper in ``kg`` switches the garbage
+collector, and no line is longer than 99 columns."""
 
 import ast
 from pathlib import Path
@@ -148,3 +149,39 @@ def test_detects_package_imports():
 def test_lines_fit_in_99_columns(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [n for n, line in enumerate(lines, 1) if len(line) > 99] == []
+
+
+_GC_SWITCHES = {"disable", "enable", "freeze", "set_threshold"}
+
+
+def collector_switches(source):
+    """(top-level definition, name) of each call that switches the cyclic
+    garbage collector or changes its thresholds, and of each such name
+    imported from ``gc``."""
+    found = []
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", "<module>")
+        for inner in ast.walk(node):
+            if (isinstance(inner, ast.Attribute) and inner.attr in _GC_SWITCHES
+                    and isinstance(inner.value, ast.Name) and inner.value.id == "gc"):
+                found.append((owner, inner.attr))
+            elif isinstance(inner, ast.ImportFrom) and inner.module == "gc":
+                found += [(owner, a.name) for a in inner.names if a.name in _GC_SWITCHES]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_pause_helper_switches_the_collector(path):
+    # A switch left on or off outlives the call that made it; the one helper
+    # restores the caller's state whatever the call does.
+    expected = [("_without_cyclic_gc", "disable"), ("_without_cyclic_gc", "enable")]
+    found = collector_switches(path.read_text(encoding="utf-8"))
+    assert found == (expected if path.name == "kg.py" else [])
+
+
+def test_detects_collector_switches():
+    source = ("import gc\nfrom gc import freeze\ngc.set_threshold(0)\n"
+              "def f():\n    gc.collect()\n    gc.disable()\n"
+              "class C:\n    def g(self):\n        return gc.enable\n")
+    assert collector_switches(source) == [("<module>", "freeze"), ("<module>", "set_threshold"),
+                                          ("f", "disable"), ("C", "enable")]

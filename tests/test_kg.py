@@ -1,11 +1,12 @@
 """Data model, ingestion, tokenization, and seed construction."""
 
+import gc
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from kgalign.kg import (
     AlignmentStore,
@@ -17,11 +18,19 @@ from kgalign.kg import (
     greedy_one_to_one,
     infer_entity_pairs,
     load_graph,
+    read_lines,
     tokenize,
     top_m_attr_slots,
 )
 
-from oracles import attribute_index_per_row, infer_entity_pairs_whole, tokenize_loop
+from oracles import (
+    GraphPerRow,
+    attribute_index_per_row,
+    infer_entity_pairs_whole,
+    load_graph_per_line,
+    read_lines_per_line,
+    tokenize_loop,
+)
 
 
 class TestTokenize:
@@ -149,16 +158,62 @@ class TestLoadGraph:
             assert g.attr_labels[g.attribute_id(label)] == label
 
 
+REL_ROWS = st.lists(st.tuples(st.sampled_from("pqr"), st.just("r"), st.sampled_from("pqrs")),
+                    max_size=4)
+ATTR_ROWS = st.lists(st.tuples(st.sampled_from("pqrst"), st.sampled_from("abc"),
+                               st.sampled_from(["x", "x y", "X, y", "", "...", "1984年", "x  y"])),
+                     max_size=25)
+
+
+def assert_same_graph(g, oracle):
+    """``g`` and ``oracle`` agree on every label, id, triple, count and slot,
+    and ``g`` holds one ``ValueText`` per literal."""
+    assert g.ent_labels == oracle.ent_labels
+    assert g.rel_labels == oracle.rel_labels
+    assert g.attr_labels == oracle.attr_labels
+    for labels, ident in ((g.ent_labels, oracle.entity_id), (g.rel_labels, oracle.relation_id),
+                          (g.attr_labels, oracle.attribute_id)):
+        assert [ident(label) for label in labels] == list(range(len(labels)))
+    assert g.rel_triples == oracle.rel_triples
+    assert g.attr_triples == oracle.attr_triples
+    by_raw = {}
+    for _, _, value in g.attr_triples:
+        assert by_raw.setdefault(value.raw, value) is value
+    assert g.attribute_counts == oracle.attribute_counts
+    for entity in range(oracle.num_entities):
+        assert g.attributes_of(entity) == oracle.attributes_of(entity)
+
+
+# (relationship file, attribute file) contents that text-mode iteration over
+# the file splits differently from str.splitlines or a plain split on "\n".
+GRAPH_FILES = {
+    "crlf": (b"e1\tr1\te2\r\ne2\tr1\te3\r\n", b"e1\ta1\tParis\r\ne3\ta1\tLyon\r\n"),
+    "lone-cr": (b"e1\tr1\te2\re2\tr1\te3\r", b"e1\ta1\tParis\re3\ta1\tLyon\r\n\r"),
+    "breaks-in-literals": (b"e1\tr1\te2\n",
+                           "e1\ta1\tfoo\u2028bar\ne2\ta1\tx\x0cy\ne1\ta2\tp\x0bq\x1cr\x85s\u2029t\n"
+                           .encode("utf-8")),
+    "blank-lines-no-final-newline": (b"\n\ne1\tr1\te2\n\n\ne2\tr1\te3",
+                                     b"e1\ta1\tParis\n\n\ne2\ta1\tLyon"),
+    "repeated-rows": (b"e2\tr1\te1\ne1\tr1\te2\ne2\tr1\te1\n",
+                      b"e1\ta1\tParis\ne2\ta1\tParis\ne1\ta1\tParis\ne1\ta1\tLyon\n"
+                      b"e1\ta0\tParis\n"),
+    "empty": (b"", b""),
+}
+
+# Files that fail, each with the line the error must name.
+BAD_FILES = {
+    "malformed": (b"e1\tr1\te2\ne1\tr1\n", 2),
+    "malformed-after-lone-cr": (b"e1\tr1\te2\r\re1\tr1\te2\tx\n", 3),
+    "malformed-after-unicode-break": ("e1\tr1\u2028x\te2\ne1\tr1\n".encode("utf-8"), 2),
+    "not-utf8": (b"e1\tr1\te2\re1\tr1\t\xff\n", 2),
+}
+
+
 class TestValueInterning:
     """One ``ValueText`` per literal gives the graph a one-per-row build gives."""
 
     @settings(max_examples=60, deadline=None)
-    @given(rel_rows=st.lists(st.tuples(st.sampled_from("pqr"), st.just("r"),
-                                       st.sampled_from("pqrs")), max_size=4),
-           attr_rows=st.lists(st.tuples(st.sampled_from("pqrst"), st.sampled_from("abc"),
-                                        st.sampled_from(["x", "x y", "X, y", "", "...",
-                                                         "1984年", "x  y"])),
-                              max_size=25))
+    @given(rel_rows=REL_ROWS, attr_rows=ATTR_ROWS)
     @example(rel_rows=[], attr_rows=[("p", "a", "x"), ("q", "a", "x"), ("p", "b", "x"),
                                      ("p", "a", "x")])
     def test_equal_to_one_value_per_row(self, rel_rows, attr_rows):
@@ -172,8 +227,111 @@ class TestValueInterning:
         for _, _, value in g.attr_triples:
             assert by_raw.setdefault(value.raw, value) is value
 
+    @settings(max_examples=60, deadline=None)
+    @given(rel_rows=REL_ROWS, attr_rows=ATTR_ROWS)
+    @example(rel_rows=[("q", "r", "p"), ("p", "r", "q"), ("q", "r", "p")],
+             attr_rows=[("s", "b", "x"), ("p", "a", "x"), ("s", "b", "x"), ("s", "a", "x y")])
+    def test_equal_to_deduplicating_value_texts(self, rel_rows, attr_rows):
+        assert_same_graph(KnowledgeGraph(rel_rows, attr_rows), GraphPerRow(rel_rows, attr_rows))
+
+    @pytest.mark.parametrize("name", GRAPH_FILES)
+    def test_loads_like_line_by_line_reading(self, tmp_path, name):
+        rel, attr = tmp_path / "rel", tmp_path / "attr"
+        rel.write_bytes(GRAPH_FILES[name][0])
+        attr.write_bytes(GRAPH_FILES[name][1])
+        for path in (rel, attr):
+            assert list(read_lines(path)) == list(read_lines_per_line(path))
+        assert_same_graph(load_graph(rel, attr), load_graph_per_line(rel, attr))
+
+    def test_unicode_line_breaks_stay_in_the_literal(self, tmp_path):
+        rel, attr = tmp_path / "rel", tmp_path / "attr"
+        rel.write_bytes(GRAPH_FILES["breaks-in-literals"][0])
+        attr.write_bytes(GRAPH_FILES["breaks-in-literals"][1])
+        raws = [v.raw for _, _, v in load_graph(rel, attr).attr_triples]
+        assert raws == ["foo\u2028bar", "p\x0bq\x1cr\x85s\u2029t", "x\x0cy"]
+
+    @pytest.mark.parametrize("name", BAD_FILES)
+    def test_fails_like_line_by_line_reading(self, tmp_path, name):
+        content, lineno = BAD_FILES[name]
+        path = tmp_path / "rel"
+        path.write_bytes(content)
+        with pytest.raises(ParseError) as err:
+            load_graph(path, path)
+        with pytest.raises(ParseError) as oracle_err:
+            load_graph_per_line(path, path)
+        assert (err.value.lineno, str(err.value)) == (oracle_err.value.lineno,
+                                                      str(oracle_err.value))
+        assert err.value.lineno == lineno
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.sampled_from(["e", "é", " ", "\t", "\n", "\r", "\r\n", "\u2028",
+                                     "\u2029", "\x0b", "\x0c", "\x1c", "\x85"]), max_size=30))
+    def test_splits_lines_like_text_mode_iteration(self, tmp_path, pieces):
+        path = tmp_path / "lines"
+        path.write_bytes("".join(pieces).encode("utf-8"))
+        assert list(read_lines(path)) == list(read_lines_per_line(path))
+
     def test_value_text_has_no_instance_dict(self):
         assert not hasattr(ValueText.from_raw("x"), "__dict__")
+
+
+@pytest.fixture
+def collector_state():
+    """Puts the cyclic garbage collector back the way the test found it."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def collections_during(call):
+    """Generations of the garbage collections that start while ``call`` runs."""
+    seen = []
+
+    def probe(phase, info):
+        if phase == "start":
+            seen.append(info["generation"])
+
+    gc.callbacks.append(probe)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(probe)
+    return seen
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_state_restored_after_a_load(self, tmp_path, collector_state, enabled):
+        rel, attr = tmp_path / "rel", tmp_path / "attr"
+        write_lines(rel, ["e1\tr1\te2"])
+        write_lines(attr, ["e1\ta1\tParis"])
+        gc.enable() if enabled else gc.disable()
+        load_graph(rel, attr)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_state_restored_after_a_failed_load(self, tmp_path, collector_state, enabled):
+        rel = tmp_path / "rel"
+        write_lines(rel, ["e1\tr1\te2", "e1\tr1"])
+        gc.enable() if enabled else gc.disable()
+        with pytest.raises(ParseError):
+            load_graph(rel, rel)
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_during_a_load(self, tmp_path, collector_state):
+        rel, attr = tmp_path / "rel", tmp_path / "attr"
+        write_lines(rel, [f"e{i}\tr{i % 7}\te{i + 1}" for i in range(3000)])
+        write_lines(attr, [f"e{i}\ta{i % 5}\tvalue {i % 300}" for i in range(3000)])
+        gc.enable()
+        # The same load with the collector running collects, so the probe works.
+        assert collections_during(lambda: load_graph.__wrapped__(rel, attr)) != []
+        assert collections_during(lambda: load_graph(rel, attr)) == []
+        assert gc.isenabled()
+
 
 def graph_with_counts(counts):
     """One graph whose attribute 'a{i}' occurs counts[i] times."""

@@ -133,3 +133,20 @@ class TestSplitIlls:
     def test_too_few_pairs(self):
         with pytest.raises(ValueError, match="15"):
             split_ills(list(range(14)))
+
+    def test_repeated_pair_kept_once(self):
+        # Permuted as two links, a repeated link's copies could land in train
+        # and in test.
+        links = [(i, i) for i in range(30)]
+        train, valid, test = split_ills(links[:10] + links, rng_seed=0)
+        assert sorted(train + valid + test) == links
+        assert (len(train), len(valid), len(test)) == (8, 2, 20)
+        assert split_ills(links[:10] + links, rng_seed=0) == split_ills(links, rng_seed=0)
+
+    @pytest.mark.parametrize("n, seed", [(15, 0), (47, 1), (150, 7)])
+    def test_distinct_pairs_split_by_one_permutation(self, n, seed):
+        pairs = [(i, (i * 7) % n) for i in range(n)]
+        train, valid, test = split_ills(pairs, rng_seed=seed)
+        order = np.random.default_rng(seed).permutation(n)
+        assert train + valid + test == [pairs[i] for i in order]
+        assert (len(train), len(valid)) == (n * 4 // 15, n // 15)

@@ -1,6 +1,10 @@
 """Merge strategies, threshold sweeps, and the bootstrap loop."""
 
+import gc
 import hashlib
+import os
+import subprocess
+import sys
 import weakref
 from random import Random
 
@@ -34,7 +38,7 @@ from kgalign.pipeline import (
     write_alignment_dump,
 )
 from kgalign.relationship_model import TrainConfig
-from kgalign.synth import SynthSpec, generate_synth
+from kgalign.synth import SynthSpec, generate_synth, write_dataset
 from kgalign.translator import WordVectorProvider, train_translation
 
 from oracles import infer_from_attribute_view_unskipped
@@ -355,6 +359,21 @@ class TestRunPipeline:
         seeds = build_initial_seeds(g, g2, [("e0", "f0")])
         with pytest.raises(ValueError):
             run_pipeline(g, g2, seeds, settings_for_tests(), merge_mode="M9")
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_collector_state_restored(self, enabled):
+        g, g2 = identical_graphs()
+        seeds = build_initial_seeds(g, g2, [("e0", "f0")])
+        before = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            run_pipeline(g, g2, seeds, settings_for_tests(views="attr"), max_iterations=2)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValueError, match="merge_mode"):
+                run_pipeline(g, g2, seeds, settings_for_tests(), merge_mode="M9")
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if before else gc.disable()
 
     def test_synthetic_bootstrap_grows_for_two_iterations(self):
         res = generate_synth(SynthSpec(n_entities=50, rng_seed=21))
@@ -694,3 +713,54 @@ def test_previous_round_products_released(joint_fixture, tmp_path, monkeypatch):
     assert refs["entity_similarity_attr"][-1]() is result.s_attr.data
     assert refs["entity_similarity_rel"][-1]() is result.s_rel.data
     assert refs["train_transe"][-1]() is result.embeddings
+
+
+# Loads a written pair, bootstraps both views and dumps the alignment; run in
+# a child process per string hash seed.
+HASH_SEED_RUN = """
+import sys
+from pathlib import Path
+from kgalign.kg import build_initial_seeds, load_graph
+from kgalign.pipeline import PipelineSettings, Thresholds, run_pipeline, write_alignment_dump
+from kgalign.relationship_model import TrainConfig
+
+data = Path(sys.argv[1])
+g = load_graph(data / "rel_triples_1", data / "attr_triples_1")
+g2 = load_graph(data / "rel_triples_2", data / "attr_triples_2")
+
+def pairs(name):
+    return [line.split("\\t") for line in (data / name).read_text("utf-8").splitlines()]
+
+seeds = build_initial_seeds(g, g2, pairs("ill_train"))
+valid = [(g.entity_id(a), g2.entity_id(b)) for a, b in pairs("ill_valid")]
+settings = PipelineSettings(m_slots=10, min_count=5, value_dim=50,
+                            transe=TrainConfig(dim=24, epochs=10, rng_seed=3),
+                            thresholds=Thresholds(tuning="validation-sweep"))
+result = run_pipeline(g, g2, seeds, settings, merge_mode="M3", max_iterations=2,
+                      valid_pairs=valid)
+assert sum(r.counts["merged"] for r in result.records) > 0
+write_alignment_dump(result.store, g, g2, Path(sys.argv[2]))
+"""
+
+
+def test_alignment_does_not_depend_on_the_hash_seed(tmp_path):
+    # Graphs are interned and deduplicated through sets of strings, whose
+    # iteration order follows PYTHONHASHSEED; the alignment must not.
+    data = tmp_path / "data"
+    write_dataset(generate_synth(SynthSpec(n_entities=100, drop_prob=0.3, rng_seed=5)), data)
+    rnd = Random(0)
+    for name in ("rel_triples_1", "attr_triples_1", "rel_triples_2", "attr_triples_2"):
+        lines = (data / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        lines += lines[:20]  # repeated rows
+        rnd.shuffle(lines)
+        (data / name).write_text("".join(lines), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    dumps = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"alignment-{hash_seed}.tsv"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", HASH_SEED_RUN, str(data), str(out)], env=env,
+                       check=True, timeout=300)
+        dumps.append(out.read_bytes())
+    assert dumps[0] == dumps[1]
