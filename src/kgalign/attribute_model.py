@@ -267,12 +267,12 @@ def infer_from_attribute_view(s_attr: np.ndarray, store: AlignmentStore,
     Value pairs are the co-occurring values of triples whose entity and
     attribute are both aligned.
     """
-    entities = infer_entity_pairs(s_attr, tau_e_attr, *store.taken_entities())
+    entities = infer_entity_pairs(s_attr, tau_e_attr, *store.taken("ent"))
     known_pairs = sorted(store.ent_pairs | {(m, n) for m, n, _ in entities})
 
     # A proposal on a taken attribute is dropped by the one-to-one reduction,
     # so a pair whose left or right slots are all on taken ones is skipped.
-    taken_left, taken_right = store.taken_attributes()
+    taken_left, taken_right = store.taken("attr")
     proposals: dict[tuple[int, int], float] = {}
     for left, right in known_pairs:
         attrs_l = values_left.attrs[left].tolist()

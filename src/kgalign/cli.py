@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .attribute_model import read_similarity_dump, write_similarity_dump
-from .kg import PROV_MERGED, ParseError, build_initial_seeds, load_graph, read_lines
+from .kg import PROV_MERGED, ParseError, build_initial_seeds, load_graph, read_fields
 from .metrics import SimilarityMatrix, check_ks, evaluate, split_ills
 from .pipeline import (
     MERGE_MODES,
@@ -175,17 +175,6 @@ def _parse_value(ftype: str, raw: str):
     return raw
 
 
-def _pair_lines(path):
-    """``(lineno, left, right)`` for each nonblank line of a two-column file."""
-    for lineno, line in read_lines(path):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(path, lineno, f"expected 2 tab-separated fields, got {len(parts)}")
-        yield lineno, parts[0], parts[1]
-
-
 def _read_pairs(path, g, g2, linked=None) -> list[tuple[str, str]]:
     """Entity label pairs of an ILL file, a repeated line kept once, in
     first-seen order; each label must name an entity of its graph and have
@@ -194,7 +183,7 @@ def _read_pairs(path, g, g2, linked=None) -> list[tuple[str, str]]:
     of one split; their entities must not recur here, and this file's join it."""
     pairs = []
     linked = {} if linked is None else linked  # a file of None means this file
-    for lineno, left, right in _pair_lines(path):
+    for lineno, (left, right) in read_fields(path, 2):
         for side, graph, label, other in (("left", g, left, right), ("right", g2, right, left)):
             if not graph.has_entity(label):
                 raise ParseError(path, lineno, f"unknown {side} entity {label!r}")
@@ -314,7 +303,7 @@ def cmd_gen(args) -> int:
 
 def cmd_eval(args) -> int:
     pairs = []
-    for lineno, left, right in _pair_lines(args.test):
+    for lineno, (left, right) in read_fields(args.test, 2):
         try:
             pairs.append((int(left), int(right)))
         except ValueError:

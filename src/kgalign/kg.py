@@ -21,6 +21,7 @@ import gc
 import re
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -75,7 +76,8 @@ class ParseError(ValueError):
 
 
 def read_lines(path):
-    """``(lineno, line)`` per line of a UTF-8 text file, without the line end.
+    """``(lineno, line)`` per line of a UTF-8 text file, without the line end;
+    the file is read whole when the function is called.
 
     Lines end at ``\n``, ``\r\n`` or a lone ``\r``, as when iterating over
     the file in text mode; other Unicode line breaks stay inside the line.
@@ -96,19 +98,27 @@ def read_lines(path):
     lines = text.split("\n")
     if lines[-1] == "":  # the end of the last line, or an empty file
         lines.pop()
-    yield from enumerate(lines, 1)
+    return enumerate(lines, 1)
 
 
-def _read_triple_file(path) -> list[tuple[str, str, str]]:
-    rows = []
+def read_fields(path, count: int, literal: bool = False):
+    """``(lineno, fields)`` per line of a tab-separated file that is not blank.
+
+    A line of only whitespace is blank and skipped.  Every other line must
+    split into ``count`` fields on tabs, none of them empty, except the last
+    one when ``literal`` is set: an attribute value may be the empty string.
+    """
     for lineno, line in read_lines(path):
-        if not line:
+        if not line or line.isspace():
             continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError(path, lineno, f"expected 3 tab-separated fields, got {len(parts)}")
-        rows.append((parts[0], parts[1], parts[2]))
-    return rows
+        fields = line.split("\t")
+        if len(fields) != count:
+            raise ParseError(path, lineno,
+                             f"expected {count} tab-separated fields, got {len(fields)}")
+        # The slice is taken only for a row that has an empty field at all.
+        if "" in fields and "" in fields[:count - literal]:
+            raise ParseError(path, lineno, f"field {fields.index('') + 1} is empty")
+        yield lineno, fields
 
 
 class KnowledgeGraph:
@@ -224,7 +234,8 @@ def load_graph(rel_path, attr_path) -> KnowledgeGraph:
     The cyclic garbage collector is paused during the call (see the module
     docstring).
     """
-    return KnowledgeGraph(_read_triple_file(rel_path), _read_triple_file(attr_path))
+    return KnowledgeGraph(map(itemgetter(1), read_fields(rel_path, 3)),
+                          map(itemgetter(1), read_fields(attr_path, 3, literal=True)))
 
 
 def frequent_attributes(g: KnowledgeGraph, min_count: int) -> frozenset[int]:
@@ -254,42 +265,34 @@ class AlignmentStore:
     """Aligned pairs of entities, relations, attributes, and values.
 
     Entity, relation, and attribute pairs are one-to-one; inserting a pair
-    whose endpoint is already taken is refused.  Pairs are never removed.
+    whose endpoint is already taken is refused.  Each of these kinds ("ent",
+    "rel", "attr") is held once, as a left-to-right and a right-to-left map,
+    and ``provenance`` names every pair of every kind.  Pairs are never
+    removed.
     """
 
     def __init__(self):
-        self.ent_pairs: set[tuple[int, int]] = set()
-        self.rel_pairs: set[tuple[int, int]] = set()
-        self.attr_pairs: set[tuple[int, int]] = set()
         self.val_pairs: set[tuple[ValueText, ValueText]] = set()
         self.provenance: dict[tuple, str] = {}
-        self._ent_left: dict[int, int] = {}
-        self._ent_right: dict[int, int] = {}
-        self._rel_left: dict[int, int] = {}
-        self._rel_right: dict[int, int] = {}
-        self._attr_left: dict[int, int] = {}
-        self._attr_right: dict[int, int] = {}
+        self._maps = {kind: ({}, {}) for kind in ("ent", "rel", "attr")}  # left, right
 
-    def _add(self, pairs, left_map, right_map, kind, left, right, provenance) -> bool:
+    def _add(self, kind, left, right, provenance) -> bool:
+        left_map, right_map = self._maps[kind]
         if left in left_map or right in right_map:
             return False
-        pairs.add((left, right))
         left_map[left] = right
         right_map[right] = left
         self.provenance[(kind, left, right)] = provenance
         return True
 
     def add_ent_pair(self, left: int, right: int, provenance: str) -> bool:
-        return self._add(self.ent_pairs, self._ent_left, self._ent_right,
-                         "ent", left, right, provenance)
+        return self._add("ent", left, right, provenance)
 
     def add_rel_pair(self, left: int, right: int, provenance: str) -> bool:
-        return self._add(self.rel_pairs, self._rel_left, self._rel_right,
-                         "rel", left, right, provenance)
+        return self._add("rel", left, right, provenance)
 
     def add_attr_pair(self, left: int, right: int, provenance: str) -> bool:
-        return self._add(self.attr_pairs, self._attr_left, self._attr_right,
-                         "attr", left, right, provenance)
+        return self._add("attr", left, right, provenance)
 
     def add_val_pair(self, left: ValueText, right: ValueText, provenance: str) -> bool:
         if (left, right) in self.val_pairs:
@@ -298,26 +301,28 @@ class AlignmentStore:
         self.provenance[("val", left.raw, right.raw)] = provenance
         return True
 
+    # Read-only (left, right) views, each equal to the set of its pairs.
+    ent_pairs = property(lambda self: self._maps["ent"][0].items())
+    rel_pairs = property(lambda self: self._maps["rel"][0].items())
+    attr_pairs = property(lambda self: self._maps["attr"][0].items())
+
     def attr_map(self) -> dict[int, int]:
-        return dict(self._attr_left)
+        return dict(self._maps["attr"][0])
 
-    def taken_entities(self) -> tuple[set[int], set[int]]:
-        return set(self._ent_left), set(self._ent_right)
-
-    def taken_relations(self) -> tuple[set[int], set[int]]:
-        return set(self._rel_left), set(self._rel_right)
-
-    def taken_attributes(self) -> tuple[set[int], set[int]]:
-        return set(self._attr_left), set(self._attr_right)
+    def taken(self, kind: str) -> tuple[set[int], set[int]]:
+        """Left and right ids that a pair of ``kind`` already holds."""
+        left_map, right_map = self._maps[kind]
+        return set(left_map), set(right_map)
 
     def size(self) -> int:
-        return (len(self.ent_pairs) + len(self.rel_pairs)
-                + len(self.attr_pairs) + len(self.val_pairs))
+        return len(self.provenance)
 
     def copy(self) -> "AlignmentStore":
         dup = AlignmentStore()
-        for name, value in vars(self).items():
-            setattr(dup, name, value.copy())
+        dup.val_pairs = set(self.val_pairs)
+        dup.provenance = dict(self.provenance)
+        dup._maps = {kind: (dict(left_map), dict(right_map))
+                     for kind, (left_map, right_map) in self._maps.items()}
         return dup
 
 
@@ -369,8 +374,8 @@ def _same_name_pairs(labels_left, labels_right) -> list[tuple[int, int]]:
         mapping: dict[str, int] = {}
         for idx, label in enumerate(labels):
             key = label.strip().casefold()
-            if key and (key not in mapping or idx < mapping[key]):
-                mapping[key] = idx
+            if key:
+                mapping.setdefault(key, idx)
         return mapping
 
     left = first_by_key(labels_left)

@@ -296,7 +296,7 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
         # Every round rebuilds these; dropping the last round's first keeps one
         # score matrix per view alive instead of two.
         s_attr = s_rel = embeddings = None
-        taken_left, taken_right = store.taken_entities()
+        taken_left, taken_right = store.taken("ent")
         timings: dict[str, float] = {}
         used: dict[str, float] = {}
         attr_inf = AttributeInference([], [], set())
@@ -366,7 +366,7 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
                              taken_right | {n for _, n, _ in attr_inf.entities})
             rel_list = infer_entity_pairs(s_rel, tau_rel, *rel_taken)
             new_rel_pairs = infer_entity_pairs(rel_scores, settings.thresholds.tau_r,
-                                               *store.taken_relations())
+                                               *store.taken("rel"))
             timings["relationship_inference"] = time.perf_counter() - tick
 
         tick = time.perf_counter()
@@ -416,20 +416,15 @@ def write_iteration_log(result: PipelineResult, path) -> None:
 
 def write_alignment_dump(store: AlignmentStore, g: KnowledgeGraph, g2: KnowledgeGraph,
                          path) -> None:
-    """``type<TAB>left<TAB>right<TAB>provenance`` per alignment, sorted."""
-    lines = []
-    for left, right in store.ent_pairs:
-        lines.append(("ent", g.ent_labels[left], g2.ent_labels[right],
-                      store.provenance[("ent", left, right)]))
-    for left, right in store.rel_pairs:
-        lines.append(("rel", g.rel_labels[left], g2.rel_labels[right],
-                      store.provenance[("rel", left, right)]))
-    for left, right in store.attr_pairs:
-        lines.append(("attr", g.attr_labels[left], g2.attr_labels[right],
-                      store.provenance[("attr", left, right)]))
-    for left, right in store.val_pairs:
-        lines.append(("val", left.raw, right.raw,
-                      store.provenance[("val", left.raw, right.raw)]))
+    """``type<TAB>left<TAB>right<TAB>provenance`` per alignment, sorted: one row
+    per ``store.provenance`` key, its ids written as their graph's labels."""
+    labels = {"ent": (g.ent_labels, g2.ent_labels), "rel": (g.rel_labels, g2.rel_labels),
+              "attr": (g.attr_labels, g2.attr_labels)}
+    rows = []
+    for (kind, left, right), provenance in store.provenance.items():
+        if kind in labels:
+            left, right = labels[kind][0][left], labels[kind][1][right]
+        rows.append((kind, left, right, provenance))
     with open(path, "w", encoding="utf-8") as fh:
-        for row in sorted(lines):
+        for row in sorted(rows):
             fh.write("\t".join(row) + "\n")

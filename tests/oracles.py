@@ -269,11 +269,94 @@ def embed_value(provider, value):
     return mean / norm
 
 
+class AlignmentStoreWithSets:
+    """An alignment store that records each entity, relation and attribute
+    pair four times: in a pair set, a left and a right endpoint map, and
+    ``provenance``."""
+
+    def __init__(self):
+        self.ent_pairs = set()
+        self.rel_pairs = set()
+        self.attr_pairs = set()
+        self.val_pairs = set()
+        self.provenance = {}
+        self._ent_left = {}
+        self._ent_right = {}
+        self._rel_left = {}
+        self._rel_right = {}
+        self._attr_left = {}
+        self._attr_right = {}
+
+    def _add(self, pairs, left_map, right_map, kind, left, right, provenance):
+        if left in left_map or right in right_map:
+            return False
+        pairs.add((left, right))
+        left_map[left] = right
+        right_map[right] = left
+        self.provenance[(kind, left, right)] = provenance
+        return True
+
+    def add_ent_pair(self, left, right, provenance):
+        return self._add(self.ent_pairs, self._ent_left, self._ent_right,
+                         "ent", left, right, provenance)
+
+    def add_rel_pair(self, left, right, provenance):
+        return self._add(self.rel_pairs, self._rel_left, self._rel_right,
+                         "rel", left, right, provenance)
+
+    def add_attr_pair(self, left, right, provenance):
+        return self._add(self.attr_pairs, self._attr_left, self._attr_right,
+                         "attr", left, right, provenance)
+
+    def add_val_pair(self, left, right, provenance):
+        if (left, right) in self.val_pairs:
+            return False
+        self.val_pairs.add((left, right))
+        self.provenance[("val", left.raw, right.raw)] = provenance
+        return True
+
+    def attr_map(self):
+        return dict(self._attr_left)
+
+    def taken_entities(self):
+        return set(self._ent_left), set(self._ent_right)
+
+    def taken_relations(self):
+        return set(self._rel_left), set(self._rel_right)
+
+    def taken_attributes(self):
+        return set(self._attr_left), set(self._attr_right)
+
+    def size(self):
+        return (len(self.ent_pairs) + len(self.rel_pairs)
+                + len(self.attr_pairs) + len(self.val_pairs))
+
+
+def write_alignment_dump_per_kind(store, g, g2, path):
+    """The alignment dump joined from each kind's pair set and ``provenance``."""
+    lines = []
+    for left, right in store.ent_pairs:
+        lines.append(("ent", g.ent_labels[left], g2.ent_labels[right],
+                      store.provenance[("ent", left, right)]))
+    for left, right in store.rel_pairs:
+        lines.append(("rel", g.rel_labels[left], g2.rel_labels[right],
+                      store.provenance[("rel", left, right)]))
+    for left, right in store.attr_pairs:
+        lines.append(("attr", g.attr_labels[left], g2.attr_labels[right],
+                      store.provenance[("attr", left, right)]))
+    for left, right in store.val_pairs:
+        lines.append(("val", left.raw, right.raw,
+                      store.provenance[("val", left.raw, right.raw)]))
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in sorted(lines):
+            fh.write("\t".join(row) + "\n")
+
+
 def infer_from_attribute_view_unskipped(s_attr, store, tau_e_attr, tau_v, g, g2,
                                         values_left, values_right):
     """The attribute view's inference with slot similarities computed for
     every known entity pair, whether or not its attributes are taken."""
-    entities = infer_entity_pairs(s_attr, tau_e_attr, *store.taken_entities())
+    entities = infer_entity_pairs(s_attr, tau_e_attr, *store.taken("ent"))
     known_pairs = sorted(store.ent_pairs | {(m, n) for m, n, _ in entities})
     data_left = dense_values(values_left)
     data_right = dense_values(values_right)
@@ -288,7 +371,7 @@ def infer_from_attribute_view_unskipped(s_attr, store, tau_e_attr, tau_v, g, g2,
             if sim > proposals.get(key, float("-inf")):
                 proposals[key] = sim
     scored = [(a, b, sim) for (a, b), sim in proposals.items()]
-    new_attrs = greedy_one_to_one(scored, *store.taken_attributes())
+    new_attrs = greedy_one_to_one(scored, *store.taken("attr"))
     attr_map = store.attr_map()
     attr_map.update({a: b for a, b, _ in new_attrs})
     new_vals = {pair for pair in cooccurring_values(g, g2, known_pairs, attr_map)

@@ -2,14 +2,20 @@
 public definition is used by the library or the benchmark, no dataclass
 merely wraps one field, the view and metric modules import only the graph
 and translator layers, only the pause helper in ``kg`` switches the garbage
-collector, and no line is longer than 99 columns."""
+collector, no line is longer than 99 columns, and the README's config and
+library examples name only what the package has."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
+import kgalign
+from kgalign.cli import PipelineConfig
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "kgalign"
+README = SRC.parent.parent / "README.md"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -185,3 +191,25 @@ def test_detects_collector_switches():
               "class C:\n    def g(self):\n        return gc.enable\n")
     assert collector_switches(source) == [("<module>", "freeze"), ("<module>", "set_threshold"),
                                           ("f", "disable"), ("C", "enable")]
+
+
+def readme_blocks(language):
+    """The bodies of the README's fenced code blocks marked ``language``."""
+    return re.findall(rf"^```{language}\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                      re.MULTILINE | re.DOTALL)
+
+
+def test_readme_config_example_loads(tmp_path):
+    (example,) = readme_blocks("ini")
+    path = tmp_path / "c.ini"
+    path.write_text(example, encoding="utf-8")
+    PipelineConfig.from_file(path)
+
+
+def test_readme_library_example_names_exist():
+    (example,) = readme_blocks("python")
+    names = {node.attr for node in ast.walk(ast.parse(example))
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "ka"}
+    assert "run_pipeline" in names
+    assert sorted(name for name in names if not hasattr(kgalign, name)) == []

@@ -1,6 +1,7 @@
 """Data model, ingestion, tokenization, and seed construction."""
 
 import gc
+import re
 import sys
 import tracemalloc
 
@@ -18,18 +19,22 @@ from kgalign.kg import (
     greedy_one_to_one,
     infer_entity_pairs,
     load_graph,
+    read_fields,
     read_lines,
     tokenize,
     top_m_attr_slots,
 )
+from kgalign.pipeline import write_alignment_dump
 
 from oracles import (
+    AlignmentStoreWithSets,
     GraphPerRow,
     attribute_index_per_row,
     infer_entity_pairs_whole,
     load_graph_per_line,
     read_lines_per_line,
     tokenize_loop,
+    write_alignment_dump_per_kind,
 )
 
 
@@ -276,6 +281,45 @@ class TestValueInterning:
         assert not hasattr(ValueText.from_raw("x"), "__dict__")
 
 
+class TestFieldRules:
+    """One reader for every tab-separated input: a line of only whitespace is
+    skipped, and an entity, relation or attribute field must not be empty."""
+
+    def test_whitespace_only_lines_skipped(self, tmp_path):
+        rel, attr = tmp_path / "rel", tmp_path / "attr"
+        rel.write_text("a\tr\tb\n\t\t\n \n\x0c\t\n", encoding="utf-8")
+        attr.write_text("\t \t\na\tname\t\n", encoding="utf-8")
+        g = load_graph(rel, attr)
+        assert (g.ent_labels, g.rel_labels, g.attr_labels) == (["a", "b"], ["r"], ["name"])
+        assert g.rel_triples == [(0, 0, 1)]
+        # An empty literal is a value like any other.
+        assert [(h, a, v.raw) for h, a, v in g.attr_triples] == [(0, 0, "")]
+
+    def test_same_lines_skipped_in_a_pair_file(self, tmp_path):
+        path = tmp_path / "pairs"
+        path.write_text("\t\t\ne0\tf0\n \t\n\ne1\tf1\n", encoding="utf-8")
+        assert list(read_fields(path, 2)) == [(2, ["e0", "f0"]), (5, ["e1", "f1"])]
+
+    @pytest.mark.parametrize("name, line, field", [
+        ("rel", "\tr\tb", 1), ("rel", "a\t\tb", 2), ("rel", "a\tr\t", 3),
+        ("attr", "\tname\tx", 1), ("attr", "a\t\tx", 2), ("attr", "\t\tx", 1)])
+    def test_empty_label_refused_with_location(self, tmp_path, name, line, field):
+        paths = {"rel": tmp_path / "rel", "attr": tmp_path / "attr"}
+        write_lines(paths["rel"], ["a\tr\tb"])
+        write_lines(paths["attr"], ["a\tname\tx"])
+        write_lines(paths[name], ["a\tr\tb" if name == "rel" else "a\tname\tx", line])
+        message = f"{paths[name]}:2: field {field} is empty"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_graph(paths["rel"], paths["attr"])
+
+    @pytest.mark.parametrize("line, field", [("\tf0", 1), ("e0\t", 2)])
+    def test_empty_label_refused_in_a_pair_file(self, tmp_path, line, field):
+        path = tmp_path / "pairs"
+        write_lines(path, ["e1\tf1", line])
+        with pytest.raises(ParseError, match=re.escape(f"{path}:2: field {field} is empty")):
+            list(read_fields(path, 2))
+
+
 @pytest.fixture
 def collector_state():
     """Puts the cyclic garbage collector back the way the test found it."""
@@ -451,6 +495,19 @@ class TestInitialSeeds:
         assert store.attr_pairs == set()
         assert store.val_pairs == set()
 
+    def test_colliding_names_seed_the_smaller_id(self):
+        # Two labels of one side fold to the same name after trimming and
+        # case-folding; the one with the smaller id is paired.
+        g = KnowledgeGraph([("e1", "Born In", "e2"), ("e2", "born in ", "e1")],
+                           [("e1", "Name", "x"), ("e1", " name", "y")])
+        g2 = KnowledgeGraph([("f1", "BORN IN", "f2"), ("f2", "born in", "f1")],
+                            [("f1", "NAME", "x"), ("f1", "name", "y")])
+        assert g.relation_id("Born In") < g.relation_id("born in ")
+        assert g2.attribute_id("NAME") < g2.attribute_id("name")
+        store = build_initial_seeds(g, g2, [("e1", "f1")])
+        assert store.rel_pairs == {(g.relation_id("Born In"), g2.relation_id("BORN IN"))}
+        assert store.attr_pairs == {(g.attribute_id("Name"), g2.attribute_id("NAME"))}
+
     def test_unknown_entity_named_in_error(self):
         g, g2 = self.build_pair()
         with pytest.raises(ValueError, match="nosuch"):
@@ -472,6 +529,32 @@ class TestInitialSeeds:
         g, g2 = self.build_pair()
         with pytest.raises(ValueError, match="one-to-one"):
             build_initial_seeds(g, g2, [("e1", "f1"), ("e1", "f2")])
+
+
+KINDS = ("ent", "rel", "attr")
+
+# (kind, left, right, provenance) insertions over four ids a side, so that
+# repeats and taken endpoints are common; a value pair's ids name literals.
+STORE_OPS = st.lists(st.tuples(st.sampled_from(KINDS + ("val",)), st.integers(0, 3),
+                               st.integers(0, 3),
+                               st.sampled_from(["seed", "attribute-view", "merged"])),
+                     max_size=30)
+
+# Two graphs whose entity, relation and attribute ids 0-3 all have labels.
+STORE_GRAPHS = tuple(
+    KnowledgeGraph([(f"{e}{i}", f"{r}{i}", f"{e}{(i + 1) % 4}") for i in range(4)],
+                   [(f"{e}{i}", f"{a}{i}", "v") for i in range(4)])
+    for e, r, a in (("e", "r", "a"), ("f", "s", "b")))
+
+
+def store_state(store):
+    """Everything a store holds, as sets that a later state must contain."""
+    state = {kind: set(getattr(store, f"{kind}_pairs")) for kind in KINDS}
+    for kind in KINDS:
+        state[f"{kind}_left"], state[f"{kind}_right"] = store.taken(kind)
+    state["val"] = set(store.val_pairs)
+    state["provenance"] = set(store.provenance.items())
+    return state
 
 
 class TestAlignmentStore:
@@ -522,6 +605,55 @@ class TestAlignmentStore:
         w = ValueText.from_raw("y")
         assert store.add_val_pair(v, w, "seed")
         assert not store.add_val_pair(v, w, "seed")
+
+    @pytest.mark.parametrize("changed", ["copy", "original"])
+    def test_copy_and_original_share_no_state(self, changed):
+        store = AlignmentStore()
+        for kind in KINDS:
+            getattr(store, f"add_{kind}_pair")(0, 0, "seed")
+        store.add_val_pair(ValueText.from_raw("x"), ValueText.from_raw("y"), "seed")
+        dup = store.copy()
+        expected = store_state(store)
+        assert store_state(dup) == expected
+        target, other = (dup, store) if changed == "copy" else (store, dup)
+        for kind in KINDS:
+            assert getattr(target, f"add_{kind}_pair")(1, 1, "merged")
+        assert target.add_val_pair(ValueText.from_raw("u"), ValueText.from_raw("w"), "merged")
+        assert store_state(other) == expected
+        assert target.size() == other.size() + 4
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(STORE_OPS)
+    @example([("ent", 0, 0, "seed"), ("ent", 0, 0, "merged"), ("ent", 0, 1, "seed"),
+              ("ent", 1, 0, "seed"), ("rel", 0, 0, "seed"), ("attr", 3, 2, "seed"),
+              ("val", 0, 0, "seed"), ("val", 0, 0, "merged"), ("val", 0, 1, "seed")])
+    def test_matches_a_store_with_pair_sets(self, tmp_path, ops):
+        store, oracle = AlignmentStore(), AlignmentStoreWithSets()
+        oracle_taken = {"ent": oracle.taken_entities, "rel": oracle.taken_relations,
+                        "attr": oracle.taken_attributes}
+        for kind, left, right, provenance in ops:
+            if kind == "val":
+                left, right = ValueText.from_raw(f"v{left}"), ValueText.from_raw(f"w{right}")
+            before = store_state(store)
+            added = getattr(store, f"add_{kind}_pair")(left, right, provenance)
+            assert added == getattr(oracle, f"add_{kind}_pair")(left, right, provenance)
+            after = store_state(store)
+            assert all(before[name] <= after[name] for name in before)  # only grows
+            for one_to_one in KINDS:
+                pairs = getattr(store, f"{one_to_one}_pairs")
+                assert pairs == getattr(oracle, f"{one_to_one}_pairs")
+                assert store.taken(one_to_one) == oracle_taken[one_to_one]()
+                assert len({left for left, _ in pairs}) == len(pairs)
+                assert len({right for _, right in pairs}) == len(pairs)
+            assert store.val_pairs == oracle.val_pairs
+            assert store.provenance == oracle.provenance
+            assert store.attr_map() == oracle.attr_map()
+            assert store.size() == oracle.size()
+        g, g2 = STORE_GRAPHS
+        write_alignment_dump(store, g, g2, tmp_path / "store.tsv")
+        write_alignment_dump_per_kind(oracle, g, g2, tmp_path / "oracle.tsv")
+        assert (tmp_path / "store.tsv").read_bytes() == (tmp_path / "oracle.tsv").read_bytes()
 
 
 class TestGreedyOneToOne:

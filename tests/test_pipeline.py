@@ -308,10 +308,12 @@ def settings_for_tests(**kwargs):
     return PipelineSettings(**defaults)
 
 
-def renamed_run(views, path):
-    """An M3 bootstrap on ``renamed_synth``, and the sha256 of its alignment dump."""
+def renamed_run(views, path, seeds=None):
+    """An M3 bootstrap on ``renamed_synth``, and the sha256 of its alignment
+    dump; ``seeds`` defaults to the store ``build_initial_seeds`` makes."""
     res, g2 = renamed_synth()
-    seeds = build_initial_seeds(res.left, g2, res.ill_train)
+    if seeds is None:
+        seeds = build_initial_seeds(res.left, g2, res.ill_train)
     valid = [(res.left.entity_id(a), g2.entity_id(b)) for a, b in res.ill_valid]
     settings = settings_for_tests(
         m_slots=10, min_count=5, value_dim=40,
@@ -347,12 +349,21 @@ class TestRunPipeline:
         assert result.store.ent_pairs == seeds.ent_pairs
         assert result.store.val_pairs == seeds.val_pairs
 
-    def test_seeds_not_mutated(self):
-        g, g2 = identical_graphs()
-        seeds = build_initial_seeds(g, g2, [("e0", "f0")])
-        before = set(seeds.ent_pairs)
-        run_pipeline(g, g2, seeds, settings_for_tests(views="attr"), max_iterations=3)
-        assert seeds.ent_pairs == before
+    def test_seeds_not_mutated(self, tmp_path):
+        res, g2 = renamed_synth()
+        seeds = build_initial_seeds(res.left, g2, res.ill_train)
+
+        def held(store):
+            kinds = {kind: set(getattr(store, f"{kind}_pairs"))
+                     for kind in ("ent", "rel", "attr", "val")}
+            return kinds, dict(store.provenance)
+
+        before = held(seeds)
+        result, _ = renamed_run("both", tmp_path / "alignments.tsv", seeds)
+        # The run adds pairs of all four kinds, and none of them to the seeds.
+        assert all(sum(r.counts[key] for r in result.records)
+                   for key in ("merged", "new_attr", "new_rel", "new_val"))
+        assert held(seeds) == before
 
     def test_bad_merge_mode_rejected(self):
         g, g2 = identical_graphs()

@@ -372,7 +372,7 @@ class TestRelationshipInference:
         store = AlignmentStore()
         store.add_rel_pair(0, 0, "seed")
         scores = np.array([[0.99, 0.95], [0.96, 0.94]])
-        pairs = infer_entity_pairs(scores, 0.9, *store.taken_relations())
+        pairs = infer_entity_pairs(scores, 0.9, *store.taken("rel"))
         # relation 0 on both sides is taken, so only (1, 1) can be added
         assert [(a, b) for a, b, _ in pairs] == [(1, 1)]
 
