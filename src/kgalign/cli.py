@@ -280,11 +280,7 @@ def cmd_align(args) -> int:
 
 def cmd_gen(args) -> int:
     try:
-        spec = SynthSpec(n_entities=args.entities, n_relations=args.relations,
-                         n_attributes=args.attributes, rel_density=args.rel_density,
-                         attr_per_entity=args.attr_per_entity,
-                         dictionary_size=args.dictionary_size, drop_prob=args.drop_prob,
-                         seed_fraction=args.seed_fraction, rng_seed=args.seed)
+        spec = SynthSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SynthSpec)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     result = generate_synth(spec)
@@ -337,15 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a synthetic dataset")
     p_gen.add_argument("--out", default="synth")
-    p_gen.add_argument("--entities", type=int, default=200)
-    p_gen.add_argument("--relations", type=int, default=8)
-    p_gen.add_argument("--attributes", type=int, default=6)
-    p_gen.add_argument("--rel-density", type=float, default=2.0)
-    p_gen.add_argument("--attr-per-entity", type=float, default=4.0)
-    p_gen.add_argument("--dictionary-size", type=int, default=60)
-    p_gen.add_argument("--drop-prob", type=float, default=0.0)
-    p_gen.add_argument("--seed-fraction", type=float, default=0.3)
-    p_gen.add_argument("--seed", type=int, default=0)
+    for flag, name in (("--entities", "n_entities"), ("--relations", "n_relations"),
+                       ("--attributes", "n_attributes"), ("--rel-density", "rel_density"),
+                       ("--attr-per-entity", "attr_per_entity"),
+                       ("--dictionary-size", "dictionary_size"), ("--drop-prob", "drop_prob"),
+                       ("--seed-fraction", "seed_fraction"), ("--seed", "rng_seed")):
+        default = getattr(SynthSpec, name)
+        p_gen.add_argument(flag, dest=name, type=type(default), default=default)
     p_gen.set_defaults(func=cmd_gen)
 
     p_eval = sub.add_parser("eval", help="score a similarity dump against test pairs")

@@ -41,6 +41,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
         if self.negatives_per_positive < 1 or self.batch_size < 1:
             raise ValueError("counts must be >= 1")
 
@@ -49,7 +51,7 @@ class TrainConfig:
 class SwappedTriples:
     """Training triples in the combined id space of both graphs."""
 
-    triples: list[tuple[int, int, int]]
+    triples: np.ndarray  # sorted, unique (M, 3) int64 rows of (head, relation, tail)
     n_entities: int
     n_relations: int
     ent_split: int  # ids below this belong to the left graph
@@ -59,36 +61,27 @@ class SwappedTriples:
 def swap_triplets(g: KnowledgeGraph, g2: KnowledgeGraph, store: AlignmentStore) -> SwappedTriples:
     """Augment the union of both triple sets with seed-swapped copies.
 
-    For every aligned entity pair, each base triple mentioning one side
-    gains a copy with that side substituted by its counterpart (head and
-    tail positions independently); aligned relation pairs substitute the
-    relation the same way.  The output is deduplicated and sorted.
+    Each base triple gains one copy per column (head, relation, tail) whose
+    id is aligned, with only that column replaced by its counterpart.  The
+    output is deduplicated and sorted.
     """
     n, l = g.num_entities, g.num_relations
-    base = set(g.rel_triples)
-    base.update((h + n, r + l, t + n) for h, r, t in g2.rel_triples)
-
-    by_head: dict[int, list] = {}
-    by_tail: dict[int, list] = {}
-    by_rel: dict[int, list] = {}
-    for triple in base:
-        by_head.setdefault(triple[0], []).append(triple)
-        by_tail.setdefault(triple[2], []).append(triple)
-        by_rel.setdefault(triple[1], []).append(triple)
-
-    out = set(base)
-    for left, right in sorted(store.ent_pairs):
-        for one, other in ((left, right + n), (right + n, left)):
-            for h, r, t in by_head.get(one, ()):
-                out.add((other, r, t))
-            for h, r, t in by_tail.get(one, ()):
-                out.add((h, r, other))
-    for left, right in sorted(store.rel_pairs):
-        for one, other in ((left, right + l), (right + l, left)):
-            for h, r, t in by_rel.get(one, ()):
-                out.add((h, other, t))
-
-    return SwappedTriples(sorted(out), n + g2.num_entities, l + g2.num_relations, n, l)
+    base = np.concatenate([np.array(g.rel_triples, dtype=np.int64).reshape(-1, 3),
+                           np.array(g2.rel_triples, dtype=np.int64).reshape(-1, 3) + (n, l, n)])
+    # each combined id's aligned counterpart; an unaligned id maps to itself
+    ent, rel = np.arange(n + g2.num_entities), np.arange(l + g2.num_relations)
+    for counterpart, pairs, split in ((ent, store.ent_pairs, n), (rel, store.rel_pairs, l)):
+        left, right = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
+        counterpart[left] = right + split
+        counterpart[right + split] = left
+    out = [base]
+    for column, counterpart in ((0, ent), (1, rel), (2, ent)):
+        ids = counterpart[base[:, column]]
+        moved = ids != base[:, column]
+        copy = base[moved]
+        copy[:, column] = ids[moved]
+        out.append(copy)
+    return SwappedTriples(np.unique(np.concatenate(out), axis=0), len(ent), len(rel), n, l)
 
 
 @dataclass
@@ -144,15 +137,12 @@ def minibatch_loss_and_grad(ent: np.ndarray, rel: np.ndarray, pos: np.ndarray,
     hinge = margin + pos_norm - neg_norm
     loss = float(np.maximum(0.0, hinge).sum())
     violating = hinge > 0.0
-    n_violating = int(np.count_nonzero(violating))
-    if n_violating == 0:
-        return loss, np.zeros_like(ent), np.zeros_like(rel)
     pos_v = pos[violating]
     neg_v = neg[violating]
     # one block per entity role, in ent_rows order: +unit_pos (positive heads),
     # -unit_pos (positive tails), -unit_neg (negative heads), +unit_neg
     # (negative tails); blocks 0 and 2 are the relation contributions
-    units = np.empty((4, n_violating, ent.shape[1]))
+    units = np.empty((4, len(pos_v), ent.shape[1]))
     np.divide(pos_d[violating], np.maximum(pos_norm[violating], 1e-12)[:, None], out=units[0])
     np.negative(units[0], out=units[1])
     np.divide(neg_d[violating], np.maximum(neg_norm[violating], 1e-12)[:, None], out=units[3])
@@ -164,13 +154,10 @@ def minibatch_loss_and_grad(ent: np.ndarray, rel: np.ndarray, pos: np.ndarray,
     return loss, grad_ent, grad_rel
 
 
-def _normalize_rows(array: np.ndarray, rows=None) -> None:
-    block = array if rows is None else array[rows]
-    norms = np.maximum(np.linalg.norm(block, axis=1, keepdims=True), 1e-12)
-    if rows is None:
-        array /= norms
-    else:
-        array[rows] = block / norms
+def _unit_rows(block: np.ndarray) -> np.ndarray:
+    """Scale ``block``'s rows to unit length in place and return it; a zero row stays zero."""
+    block /= np.maximum(np.linalg.norm(block, axis=1, keepdims=True), 1e-12)
+    return block
 
 
 def _triple_keys(triples: np.ndarray, n_entities: int, n_relations: int) -> np.ndarray:
@@ -219,16 +206,14 @@ def train_transe(swapped: SwappedTriples, cfg: TrainConfig) -> EmbeddingTable:
     Entity rows are re-normalized to unit length after every update step;
     with zero epochs the initialization is returned unchanged.
     """
-    if not swapped.triples:
+    if len(swapped.triples) == 0:
         raise ValueError("triples must be nonempty")
     rng = np.random.default_rng(cfg.rng_seed)
     bound = 6.0 / np.sqrt(cfg.dim)
-    ent = rng.uniform(-bound, bound, (swapped.n_entities, cfg.dim))
-    rel = rng.uniform(-bound, bound, (swapped.n_relations, cfg.dim))
-    _normalize_rows(ent)
-    _normalize_rows(rel)
+    ent = _unit_rows(rng.uniform(-bound, bound, (swapped.n_entities, cfg.dim)))
+    rel = _unit_rows(rng.uniform(-bound, bound, (swapped.n_relations, cfg.dim)))
 
-    triples = np.asarray(swapped.triples, dtype=np.int64)
+    triples = swapped.triples
     positive_keys = np.unique(_triple_keys(triples, swapped.n_entities, swapped.n_relations))
     k = cfg.negatives_per_positive
     table = EmbeddingTable(ent, rel, swapped.ent_split, swapped.rel_split)
@@ -250,7 +235,7 @@ def train_transe(swapped: SwappedTriples, cfg: TrainConfig) -> EmbeddingTable:
             touched = np.zeros(len(ent), dtype=bool)
             touched[pos_rep[:, [0, 2]]] = True
             touched[neg[:, [0, 2]]] = True
-            _normalize_rows(ent, np.flatnonzero(touched))
+            ent[touched] = _unit_rows(ent[touched])
         table.epoch_losses.append(epoch_loss / (len(triples) * k))
     if table.capped_negatives:
         LOG.warning("%d negative(s) were still known positives after %d resampling rounds",
@@ -275,7 +260,7 @@ def relation_similarity(table: EmbeddingTable) -> np.ndarray:
     products would not respect a [0, 1] threshold; cosine keeps them
     comparable.
     """
-    rel = table.rel / np.maximum(np.linalg.norm(table.rel, axis=1, keepdims=True), 1e-12)
+    rel = _unit_rows(table.rel.copy())
     return rel[:table.rel_split] @ rel[table.rel_split:].T
 
 

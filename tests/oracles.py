@@ -51,6 +51,36 @@ def transe_energy(table, head, relation, tail):
     return float(np.linalg.norm(table.ent[head] + table.rel[relation] - table.ent[tail]))
 
 
+def swap_triplets_tuples(g, g2, store):
+    """The sorted, deduplicated base and seed-swapped triples as tuples: every
+    aligned entity replaces its counterpart in head and tail position
+    independently, and every aligned relation in relation position."""
+    n, l = g.num_entities, g.num_relations
+    base = set(g.rel_triples)
+    base.update((h + n, r + l, t + n) for h, r, t in g2.rel_triples)
+
+    by_head: dict[int, list] = {}
+    by_tail: dict[int, list] = {}
+    by_rel: dict[int, list] = {}
+    for triple in base:
+        by_head.setdefault(triple[0], []).append(triple)
+        by_tail.setdefault(triple[2], []).append(triple)
+        by_rel.setdefault(triple[1], []).append(triple)
+
+    out = set(base)
+    for left, right in sorted(store.ent_pairs):
+        for one, other in ((left, right + n), (right + n, left)):
+            for h, r, t in by_head.get(one, ()):
+                out.add((other, r, t))
+            for h, r, t in by_tail.get(one, ()):
+                out.add((h, r, other))
+    for left, right in sorted(store.rel_pairs):
+        for one, other in ((left, right + l), (right + l, left)):
+            for h, r, t in by_rel.get(one, ()):
+                out.add((h, other, t))
+    return sorted(out)
+
+
 def compact_values(dense, ids):
     """The value matrix of a zero-padded (N, m_slots, D) array: each cell is
     its own row of ``vectors``, behind the zero row 0."""

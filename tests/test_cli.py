@@ -89,6 +89,14 @@ class TestGen:
     def test_invalid_spec_exits_two(self, tmp_path):
         assert cli.main(gen_args(tmp_path / "x", drop=1.5)) == 2
 
+    def test_defaults_write_the_default_spec(self, tmp_path, capsys):
+        assert cli.main(["gen", "--out", str(tmp_path / "d")]) == 0
+        write_dataset(generate_synth(SynthSpec()), tmp_path / "d2")
+        written = sorted(path.name for path in (tmp_path / "d").iterdir())
+        assert written == sorted(path.name for path in (tmp_path / "d2").iterdir())
+        for name in written:
+            assert (tmp_path / "d" / name).read_bytes() == (tmp_path / "d2" / name).read_bytes()
+
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
@@ -218,6 +226,21 @@ class TestAlign:
         assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
         assert ("config sets both 'ill' and ill_train/ill_valid/ill_test; "
                 "keep one of the two forms") in caplog.text
+
+    @pytest.mark.parametrize("links", ["presplit", "unsplit"])
+    def test_negative_seed_exits_two_before_loading(self, dataset, tmp_path, caplog,
+                                                   monkeypatch, links):
+        def fail(*args, **kwargs):
+            raise AssertionError("load_graph called")
+
+        monkeypatch.setattr(cli, "load_graph", fail)
+        cfg = config_for(dataset, tmp_path / "out")
+        if links == "unsplit":
+            cfg.ill, cfg.ill_train, cfg.ill_valid, cfg.ill_test = (
+                str(dataset / "ill_ent_pairs"), "", "", "")
+        write_config(cfg, tmp_path / "c.ini")
+        assert cli.main(["align", "--config", str(tmp_path / "c.ini"), "--seed", "-3"]) == 2
+        assert "rng_seed must be >= 0" in caplog.text
 
     def test_zero_threads_exit_two(self, dataset, tmp_path, caplog):
         cfg = config_for(dataset, tmp_path / "out")

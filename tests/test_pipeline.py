@@ -775,3 +775,21 @@ def test_alignment_does_not_depend_on_the_hash_seed(tmp_path):
                        check=True, timeout=300)
         dumps.append(out.read_bytes())
     assert dumps[0] == dumps[1]
+
+
+def test_alignment_does_not_depend_on_blas_threads(tmp_path):
+    # At N=200 OpenBLAS splits the attribute and relationship GEMMs across two
+    # threads; the alignment must not change with their number.
+    data = tmp_path / "data"
+    write_dataset(generate_synth(SynthSpec(n_entities=200, drop_prob=0.3, rng_seed=6)), data)
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    dumps = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"alignment-{threads}.tsv"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONHASHSEED": "0",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", HASH_SEED_RUN, str(data), str(out)], env=env,
+                       check=True, timeout=300)
+        dumps.append(out.read_bytes())
+    assert dumps[0] == dumps[1]

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kgalign.kg import AlignmentStore, KnowledgeGraph, infer_entity_pairs
 from kgalign.relationship_model import (
@@ -13,13 +14,19 @@ from kgalign.relationship_model import (
     _is_positive,
     entity_similarity_rel,
     minibatch_loss_and_grad,
+    relation_similarity,
     swap_triplets,
     train_transe,
 )
 from kgalign.synth import SynthSpec, generate_synth
 from kgalign.kg import build_initial_seeds
 
-from oracles import transe_energy
+from oracles import swap_triplets_tuples, transe_energy
+
+# triples over entities 0-4 and relations 0-2 of one graph, and id pairs
+TRIPLES = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 4)),
+                   max_size=12)
+PAIRS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=6)
 
 
 def small_pair():
@@ -34,14 +41,15 @@ class TestSwapTriplets:
         store = AlignmentStore()
         store.add_ent_pair(g.entity_id("e1"), g2.entity_id("f1"), "seed")
         swapped = swap_triplets(g, g2, store)
+        triples = set(map(tuple, swapped.triples.tolist()))
         # tail e1 swapped for f1 (combined id 2 + f1) and vice versa
-        assert (0, 0, 2 + g2.entity_id("f1")) in swapped.triples
-        assert (2 + g2.entity_id("f0"), 1, g.entity_id("e1")) in swapped.triples
+        assert (0, 0, 2 + g2.entity_id("f1")) in triples
+        assert (2 + g2.entity_id("f0"), 1, g.entity_id("e1")) in triples
 
     def test_empty_store_is_plain_union(self):
         g, g2 = small_pair()
         swapped = swap_triplets(g, g2, AlignmentStore())
-        assert swapped.triples == [(0, 0, 1), (2, 1, 3)]
+        assert swapped.triples.tolist() == [[0, 0, 1], [2, 1, 3]]
         assert swapped.ent_split == 2
         assert swapped.rel_split == 1
 
@@ -53,7 +61,7 @@ class TestSwapTriplets:
         swapped = swap_triplets(g, g2, store)
         # base (0,0,1), (2,1,3); e0<->f0 head swaps give (2,0,1), (0,1,3);
         # r0<->s0 relation swaps on the base give (0,1,1), (2,0,3)
-        assert set(swapped.triples) == {
+        assert set(map(tuple, swapped.triples.tolist())) == {
             (0, 0, 1), (2, 1, 3), (2, 0, 1), (0, 1, 3), (0, 1, 1), (2, 0, 3)}
 
     def test_deduplicated(self):
@@ -62,7 +70,28 @@ class TestSwapTriplets:
         store = AlignmentStore()
         store.add_ent_pair(0, 0, "seed")
         swapped = swap_triplets(g, g2, store)
-        assert len(swapped.triples) == len(set(swapped.triples))
+        assert len(swapped.triples) == len(set(map(tuple, swapped.triples.tolist())))
+
+    @settings(max_examples=150, deadline=None)
+    @given(left=TRIPLES, right=TRIPLES, ent_pairs=PAIRS, rel_pairs=PAIRS)
+    @example(left=[], right=[], ent_pairs=[(0, 1)], rel_pairs=[])
+    @example(left=[(1, 0, 1), (1, 0, 2)], right=[(2, 1, 2)], ent_pairs=[(0, 0), (1, 2)],
+             rel_pairs=[(0, 1)])
+    @example(left=[(0, 0, 1)], right=[(3, 2, 3)], ent_pairs=[], rel_pairs=[])
+    def test_matches_tuple_set_oracle(self, left, right, ent_pairs, rel_pairs):
+        # every entity 0-4 exists on both sides, with or without relation triples
+        g, g2 = (KnowledgeGraph([(f"{side}{h}", f"r{r}", f"{side}{t}") for h, r, t in rows],
+                                [(f"{side}{e}", "a", "v") for e in range(5)])
+                 for side, rows in (("e", left), ("f", right)))
+        store = AlignmentStore()
+        for m, n in ent_pairs:
+            store.add_ent_pair(m, n, "seed")
+        for a, b in rel_pairs:
+            if a < g.num_relations and b < g2.num_relations:
+                store.add_rel_pair(a, b, "seed")
+        triples = swap_triplets(g, g2, store).triples
+        assert triples.dtype == np.int64 and triples.shape == (len(triples), 3)
+        assert triples.tolist() == [list(t) for t in swap_triplets_tuples(g, g2, store)]
 
 
 class TestEnergy:
@@ -259,8 +288,8 @@ class TestTraining:
                                 KnowledgeGraph([("x", "s", "y")], []), AlignmentStore())
         table = train_transe(swapped, TrainConfig(dim=8, epochs=300, rng_seed=0))
         assert table.epoch_losses[-1] == 0.0
-        positives = set(swapped.triples)
-        for h, r, t in swapped.triples:
+        positives = set(map(tuple, swapped.triples.tolist()))
+        for h, r, t in swapped.triples.tolist():
             e_pos = transe_energy(table, h, r, t)
             lo = 0 if h < swapped.ent_split else swapped.ent_split
             hi = swapped.ent_split if h < swapped.ent_split else swapped.n_entities
@@ -349,6 +378,21 @@ class TestSimilarity:
         for m in range(3):
             for n in range(3):
                 assert s[m, n] == pytest.approx(float(ent[m] @ ent[3 + n]), abs=1e-9)
+
+
+    def test_relation_similarity_is_the_cosine_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        # rows far below and above unit length, and a zero row on each side
+        rel = rng.standard_normal((9, 6)) * rng.choice([1e-14, 1e-3, 1.0, 1e4, 1e9], (9, 1))
+        rel[[1, 6]] = 0.0
+        table = EmbeddingTable(np.zeros((2, 6)), rel, 1, 4)
+        raw = rel.copy()
+        unit = rel / np.maximum(np.linalg.norm(rel, axis=1, keepdims=True), 1e-12)
+        expected = unit[:4] @ unit[4:].T
+        s = relation_similarity(table)
+        assert s.shape == (4, 5)
+        np.testing.assert_array_equal(s.view(np.int64), expected.view(np.int64))
+        np.testing.assert_array_equal(table.rel, raw)  # the table is left as it was
 
 
 class TestRelationshipInference:
