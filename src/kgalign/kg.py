@@ -146,23 +146,15 @@ class KnowledgeGraph:
             # In place: each key tuple is freed as its triple is made, which
             # keeps one list of rows alive and holds the peak memory down.
             attr_triples[i] = (h, a, text)
-        self._ent_ids, self._rel_ids, self._attr_ids = ents, rels, attrs
-        self.ent_labels = self._labels(ents)
-        self.rel_labels = self._labels(rels)
-        self.attr_labels = self._labels(attrs)
+        # Ids are handed out in insertion order, so each table lists its labels by id.
+        self._ent_ids = ents
+        self.ent_labels, self.rel_labels, self.attr_labels = list(ents), list(rels), list(attrs)
         self.rel_triples = sorted(rel_triples)
         self.attr_triples = attr_triples
         self._attrs_by_entity: dict[int, list[tuple[int, ValueText]]] = {}
         for h, a, v in self.attr_triples:
             self._attrs_by_entity.setdefault(h, []).append((a, v))
         self.attribute_counts = Counter(a for _, a, _ in self.attr_triples)
-
-    @staticmethod
-    def _labels(table: dict[str, int]) -> list[str]:
-        labels = [""] * len(table)
-        for label, idx in table.items():
-            labels[idx] = label
-        return labels
 
     @property
     def num_entities(self) -> int:
@@ -182,26 +174,8 @@ class KnowledgeGraph:
         except KeyError:
             raise KeyError(f"unknown entity {label!r}") from None
 
-    def relation_id(self, label: str) -> int:
-        try:
-            return self._rel_ids[label]
-        except KeyError:
-            raise KeyError(f"unknown relation {label!r}") from None
-
-    def attribute_id(self, label: str) -> int:
-        try:
-            return self._attr_ids[label]
-        except KeyError:
-            raise KeyError(f"unknown attribute {label!r}") from None
-
     def has_entity(self, label: str) -> bool:
         return label in self._ent_ids
-
-    def has_relation(self, label: str) -> bool:
-        return label in self._rel_ids
-
-    def has_attribute(self, label: str) -> bool:
-        return label in self._attr_ids
 
     def attributes_of(self, entity: int) -> list[tuple[int, ValueText]]:
         """Attribute slots of one entity in deterministic order."""
@@ -264,11 +238,12 @@ def top_m_attr_slots(g: KnowledgeGraph, entity: int, m_slots: int,
 class AlignmentStore:
     """Aligned pairs of entities, relations, attributes, and values.
 
-    Entity, relation, and attribute pairs are one-to-one; inserting a pair
-    whose endpoint is already taken is refused.  Each of these kinds ("ent",
-    "rel", "attr") is held once, as a left-to-right and a right-to-left map,
-    and ``provenance`` names every pair of every kind.  Pairs are never
-    removed.
+    Entity, relation, and attribute pairs are one-to-one and enter through
+    ``add(kind, ...)``; inserting a pair whose endpoint is already taken is
+    refused.  Each of these kinds ("ent", "rel", "attr") is held once, as a
+    left-to-right and a right-to-left map.  Value pairs enter through
+    ``add_val_pair``, and ``provenance`` names every pair of every kind.
+    Pairs are never removed.
     """
 
     def __init__(self):
@@ -276,7 +251,7 @@ class AlignmentStore:
         self.provenance: dict[tuple, str] = {}
         self._maps = {kind: ({}, {}) for kind in ("ent", "rel", "attr")}  # left, right
 
-    def _add(self, kind, left, right, provenance) -> bool:
+    def add(self, kind: str, left: int, right: int, provenance: str) -> bool:
         left_map, right_map = self._maps[kind]
         if left in left_map or right in right_map:
             return False
@@ -284,15 +259,6 @@ class AlignmentStore:
         right_map[right] = left
         self.provenance[(kind, left, right)] = provenance
         return True
-
-    def add_ent_pair(self, left: int, right: int, provenance: str) -> bool:
-        return self._add("ent", left, right, provenance)
-
-    def add_rel_pair(self, left: int, right: int, provenance: str) -> bool:
-        return self._add("rel", left, right, provenance)
-
-    def add_attr_pair(self, left: int, right: int, provenance: str) -> bool:
-        return self._add("attr", left, right, provenance)
 
     def add_val_pair(self, left: ValueText, right: ValueText, provenance: str) -> bool:
         if (left, right) in self.val_pairs:
@@ -414,12 +380,12 @@ def build_initial_seeds(g: KnowledgeGraph, g2: KnowledgeGraph, ill_train) -> Ali
             raise ValueError(f"ILL pair references unknown entity {right_label!r}")
         left = g.entity_id(left_label)
         right = g2.entity_id(right_label)
-        if not store.add_ent_pair(left, right, PROV_SEED) and (left, right) not in store.ent_pairs:
+        if not store.add("ent", left, right, PROV_SEED) and (left, right) not in store.ent_pairs:
             raise ValueError(f"ILL pairs are not one-to-one at entity {left_label!r}")
-    for left, right in _same_name_pairs(g.rel_labels, g2.rel_labels):
-        store.add_rel_pair(left, right, PROV_SEED)
-    for left, right in _same_name_pairs(g.attr_labels, g2.attr_labels):
-        store.add_attr_pair(left, right, PROV_SEED)
+    for kind, labels, labels2 in (("rel", g.rel_labels, g2.rel_labels),
+                                  ("attr", g.attr_labels, g2.attr_labels)):
+        for left, right in _same_name_pairs(labels, labels2):
+            store.add(kind, left, right, PROV_SEED)
     for value, value2 in cooccurring_values(g, g2, sorted(store.ent_pairs), store.attr_map()):
         store.add_val_pair(value, value2, PROV_SEED)
     return store

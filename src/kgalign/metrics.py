@@ -67,8 +67,11 @@ def evaluate(matrix, test_pairs, ks=(1, 10), source=None) -> EvalReport:
     return EvalReport(hr, float((1.0 / ranks).mean()), len(test_pairs), source)
 
 
-def split_ills(pairs, ratios=(4, 1, 10), rng_seed: int = 0):
-    """Disjoint, exhaustive train/valid/test split in the given proportion.
+SPLIT_RATIOS = (4, 1, 10)  # train, valid, test
+
+
+def split_ills(pairs, rng_seed: int = 0):
+    """Disjoint, exhaustive train/valid/test split, divided 4:1:10.
 
     A repeated pair is kept once, where it first occurs, so that no pair
     lands in two parts.  Sizes are floored by ratio; the remainder goes to
@@ -78,9 +81,9 @@ def split_ills(pairs, ratios=(4, 1, 10), rng_seed: int = 0):
     n = len(pairs)
     if n < 15:
         raise ValueError(f"need at least 15 pairs to split, got {n}")
-    total = sum(ratios)
-    n_train = n * ratios[0] // total
-    n_valid = n * ratios[1] // total
+    total = sum(SPLIT_RATIOS)
+    n_train = n * SPLIT_RATIOS[0] // total
+    n_valid = n * SPLIT_RATIOS[1] // total
     order = np.random.default_rng(rng_seed).permutation(n)
     train = [pairs[i] for i in order[:n_train]]
     valid = [pairs[i] for i in order[n_train:n_train + n_valid]]

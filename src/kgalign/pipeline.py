@@ -379,10 +379,9 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
         timings["merge"] = time.perf_counter() - tick
 
         overlap = sum(m in taken_left or n in taken_right for m, n, _ in entries)
-        new_ent = sum(store.add_ent_pair(m, n, provenance) for m, n, provenance in entries)
-        new_attr = sum(store.add_attr_pair(a, b, PROV_ATTR)
-                       for a, b, _ in attr_inf.attribute_pairs)
-        new_rel = sum(store.add_rel_pair(a, b, PROV_REL) for a, b, _ in new_rel_pairs)
+        new_ent = sum(store.add("ent", m, n, provenance) for m, n, provenance in entries)
+        new_attr = sum(store.add("attr", a, b, PROV_ATTR) for a, b, _ in attr_inf.attribute_pairs)
+        new_rel = sum(store.add("rel", a, b, PROV_REL) for a, b, _ in new_rel_pairs)
         new_val = sum(store.add_val_pair(v, w, PROV_ATTR)
                       for v, w in sorted(attr_inf.value_pairs,
                                          key=lambda p: (p[0].raw, p[1].raw)))

@@ -214,7 +214,8 @@ def train_transe(swapped: SwappedTriples, cfg: TrainConfig) -> EmbeddingTable:
     rel = _unit_rows(rng.uniform(-bound, bound, (swapped.n_relations, cfg.dim)))
 
     triples = swapped.triples
-    positive_keys = np.unique(_triple_keys(triples, swapped.n_entities, swapped.n_relations))
+    # sorted, unique rows with r < n_relations and t < n_entities: strictly increasing keys
+    positive_keys = _triple_keys(triples, swapped.n_entities, swapped.n_relations)
     k = cfg.negatives_per_positive
     table = EmbeddingTable(ent, rel, swapped.ent_split, swapped.rel_split)
 

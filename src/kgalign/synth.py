@@ -137,13 +137,14 @@ def generate_synth(spec: SynthSpec) -> SynthResult:
 
     truth = AlignmentStore()
     for i in range(spec.n_entities):
-        truth.add_ent_pair(left.entity_id(ents_left[i]), right.entity_id(ents_right[i]), PROV_SEED)
-    for name in rel_names:
-        if left.has_relation(name) and right.has_relation(name):
-            truth.add_rel_pair(left.relation_id(name), right.relation_id(name), PROV_SEED)
-    for name in attr_names:
-        if left.has_attribute(name) and right.has_attribute(name):
-            truth.add_attr_pair(left.attribute_id(name), right.attribute_id(name), PROV_SEED)
+        truth.add("ent", left.entity_id(ents_left[i]), right.entity_id(ents_right[i]), PROV_SEED)
+    # a relation or attribute is its own counterpart when both graphs hold it
+    for kind, labels, labels2 in (("rel", left.rel_labels, right.rel_labels),
+                                  ("attr", left.attr_labels, right.attr_labels)):
+        ids2 = {label: i for i, label in enumerate(labels2)}
+        for i, label in enumerate(labels):
+            if label in ids2:
+                truth.add(kind, i, ids2[label], PROV_SEED)
     for text, translated in survived:
         truth.add_val_pair(ValueText.from_raw(text), ValueText.from_raw(translated), PROV_SEED)
 

@@ -412,7 +412,7 @@ def infer_from_attribute_view_unskipped(s_attr, store, tau_e_attr, tau_v, g, g2,
 def attribute_index_per_row(g, attr_rows):
     """``g``'s attribute triples, slots by entity and attribute counts, built
     with one ``ValueText`` per row."""
-    triples = sorted({(g.entity_id(h), g.attribute_id(a), ValueText.from_raw(v))
+    triples = sorted({(g.entity_id(h), g.attr_labels.index(a), ValueText.from_raw(v))
                       for h, a, v in attr_rows}, key=lambda x: (x[0], x[1], x[2].raw))
     by_entity = {}
     for h, a, v in triples:
@@ -455,6 +455,13 @@ def _intern(table, label):
     return table[label]
 
 
+def _labels_by_id(table):
+    labels = [""] * len(table)
+    for label, idx in table.items():
+        labels[idx] = label
+    return labels
+
+
 class GraphPerRow(KnowledgeGraph):
     """A ``KnowledgeGraph`` that interns one label at a time and deduplicates
     attribute rows as (entity, attribute, ``ValueText``) triples."""
@@ -474,9 +481,9 @@ class GraphPerRow(KnowledgeGraph):
             if text is None:
                 text = texts[v] = ValueText.from_raw(v)
             attr_triples.add((_intern(self._ent_ids, h), _intern(self._attr_ids, a), text))
-        self.ent_labels = self._labels(self._ent_ids)
-        self.rel_labels = self._labels(self._rel_ids)
-        self.attr_labels = self._labels(self._attr_ids)
+        self.ent_labels = _labels_by_id(self._ent_ids)
+        self.rel_labels = _labels_by_id(self._rel_ids)
+        self.attr_labels = _labels_by_id(self._attr_ids)
         self.rel_triples = sorted(rel_triples)
         self.attr_triples = sorted(attr_triples, key=lambda x: (x[0], x[1], x[2].raw))
         self._attrs_by_entity = {}

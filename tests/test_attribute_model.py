@@ -88,7 +88,7 @@ class TestSlotIdentification:
 
     def test_pair_shares_identification(self):
         g, g2, values, values2 = self.graphs()
-        pair = (g.attribute_id("a1"), g2.attribute_id("b0"))
+        pair = (g.attr_labels.index("a1"), g2.attr_labels.index("b0"))
         left = build_attr_slot_matrix(values, dict([pair]))
         right = build_attr_slot_matrix(values2, own_ids(all_attributes(g2)))
         assert set(np.unique(left)) - {-1} == {pair[1]}
@@ -97,7 +97,7 @@ class TestSlotIdentification:
     def test_adding_pair_changes_only_affected_slots(self):
         g, g2, values, _ = self.graphs()
         before = build_attr_slot_matrix(values, {})
-        pair = (g.attribute_id("a1"), g2.attribute_id("b0"))
+        pair = (g.attr_labels.index("a1"), g2.attr_labels.index("b0"))
         after = build_attr_slot_matrix(values, dict([pair]))
         changed = before != after
         slots = [top_m_attr_slots(g, e, 2, all_attributes(g)) for e in range(g.num_entities)]
@@ -497,8 +497,8 @@ def make_aligned_pair():
     g2 = KnowledgeGraph([], [("f0", "jahr", "1984"), ("f0", "ort", "paris"),
                              ("f1", "jahr", "1990")])
     store = AlignmentStore()
-    store.add_ent_pair(g.entity_id("e0"), g2.entity_id("f0"), "seed")
-    store.add_attr_pair(g.attribute_id("year"), g2.attribute_id("jahr"), "seed")
+    store.add("ent", g.entity_id("e0"), g2.entity_id("f0"), "seed")
+    store.add("attr", g.attr_labels.index("year"), g2.attr_labels.index("jahr"), "seed")
     return g, g2, store
 
 
@@ -528,7 +528,7 @@ class TestAttributeInference:
         g, g2, store = make_aligned_pair()
         inf, _ = self.build(store, g, g2)
         # the seeded entity pair shares value "paris" under place/ort
-        assert (g.attribute_id("place"), g2.attribute_id("ort")) in {
+        assert (g.attr_labels.index("place"), g2.attr_labels.index("ort")) in {
             (a, b) for a, b, _ in inf.attribute_pairs}
 
     def test_value_pairs_require_both_alignments(self):
@@ -547,8 +547,8 @@ class TestAttributeInference:
         g = KnowledgeGraph([], [("e0", "a", "v1"), ("e0", "a", "v2")])
         g2 = KnowledgeGraph([], [("f0", "b", "w1")])
         store = AlignmentStore()
-        store.add_ent_pair(0, 0, "seed")
-        store.add_attr_pair(g.attribute_id("a"), g2.attribute_id("b"), "seed")
+        store.add("ent", 0, 0, "seed")
+        store.add("attr", g.attr_labels.index("a"), g2.attr_labels.index("b"), "seed")
         inf, _ = self.build(store, g, g2, tau_e=99.0, tau_v=0.99)
         vals = {(v.raw, w.raw) for v, w in inf.value_pairs}
         assert vals == {("v1", "w1"), ("v2", "w1")}

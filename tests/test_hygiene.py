@@ -1,6 +1,7 @@
 """Source hygiene: every name a library module imports is used in it, every
 public definition is used by the library or the benchmark, no dataclass
-merely wraps one field, the view and metric modules import only the graph
+merely wraps one field, no public method only forwards to another with a
+constant filled in, the view and metric modules import only the graph
 and translator layers, only the pause helper in ``kg`` switches the garbage
 collector, no line is longer than 99 columns, and the README's config and
 library examples name only what the package has."""
@@ -121,6 +122,53 @@ def test_detects_one_field_dataclasses():
               "@dataclass\nclass C:\n    x: int\n    y: int\n"
               "class D:\n    x: int\n")
     assert one_field_dataclasses(source) == ["A", "B"]
+
+
+def thin_forwarders(source):
+    """``Class.method`` of each public method of a top-level class whose
+    body, after any docstring, is only ``return self.<name>(...)`` called
+    with one or more constants plus the method's own parameters in order."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if not isinstance(item, ast.FunctionDef) or item.name.startswith("_"):
+                continue
+            body = item.body[1:] if ast.get_docstring(item) is not None else item.body
+            call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and isinstance(call.func.value, ast.Name) and call.func.value.id == "self"):
+                continue
+            values = call.args + [keyword.value for keyword in call.keywords]
+            passed = [value for value in values if not isinstance(value, ast.Constant)]
+            params = [arg.arg for arg in item.args.args[1:]]
+            if (len(passed) < len(values)
+                    and [getattr(value, "id", None) for value in passed] == params):
+                found.append(f"{node.name}.{item.name}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_thin_forwarders(path):
+    # a method that only fills in a constant hides one call behind two names;
+    # callers pass the constant themselves
+    assert thin_forwarders(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_thin_forwarders():
+    source = ("class A:\n"
+              "    def f(self, x, y):\n        return self._g('k', x, y)\n"
+              "    def g(self, x):\n        'Doc.'\n        return self.h(x, 1)\n"
+              "    def h(self, x):\n        return self.f(x)\n"
+              "    def i(self, x, y):\n        return self.f(0, y, x)\n"
+              "    def j(self, x):\n        return self.f(0, x + 1)\n"
+              "    def k(self, x):\n        return other.f(0, x)\n"
+              "    def m(self, x):\n        y = x\n        return self.f(0, y)\n"
+              "    def _n(self, x):\n        return self.f(0, x)\n"
+              "def top(self, x):\n    return self.f(0, x)\n"
+              "class B:\n    def p(self, x):\n        return self.f(x, kind='a')\n")
+    assert thin_forwarders(source) == ["A.f", "A.g", "B.p"]
 
 
 def package_imports(source):

@@ -157,10 +157,8 @@ class TestLoadGraph:
         g = load_graph(rel, attr)
         for label in g.ent_labels:
             assert g.ent_labels[g.entity_id(label)] == label
-        for label in g.rel_labels:
-            assert g.rel_labels[g.relation_id(label)] == label
-        for label in g.attr_labels:
-            assert g.attr_labels[g.attribute_id(label)] == label
+        for labels in (g.rel_labels, g.attr_labels):
+            assert [labels.index(label) for label in labels] == list(range(len(labels)))
 
 
 REL_ROWS = st.lists(st.tuples(st.sampled_from("pqr"), st.just("r"), st.sampled_from("pqrs")),
@@ -176,9 +174,9 @@ def assert_same_graph(g, oracle):
     assert g.ent_labels == oracle.ent_labels
     assert g.rel_labels == oracle.rel_labels
     assert g.attr_labels == oracle.attr_labels
-    for labels, ident in ((g.ent_labels, oracle.entity_id), (g.rel_labels, oracle.relation_id),
-                          (g.attr_labels, oracle.attribute_id)):
-        assert [ident(label) for label in labels] == list(range(len(labels)))
+    for labels, ids in ((g.ent_labels, oracle._ent_ids), (g.rel_labels, oracle._rel_ids),
+                        (g.attr_labels, oracle._attr_ids)):
+        assert [ids[label] for label in labels] == list(range(len(labels)))
     assert g.rel_triples == oracle.rel_triples
     assert g.attr_triples == oracle.attr_triples
     by_raw = {}
@@ -392,19 +390,19 @@ class TestFrequentAttributes:
     def test_boundary_strictly_more_than(self):
         g = graph_with_counts([51, 50])
         freq = frequent_attributes(g, 50)
-        assert g.attribute_id("a0") in freq
-        assert g.attribute_id("a1") not in freq
+        assert g.attr_labels.index("a0") in freq
+        assert g.attr_labels.index("a1") not in freq
 
     def test_planted_frequencies(self):
         # direct count oracle: {a1: 100, a2: 10} with min_count 50 keeps only a1
         g = graph_with_counts([100, 10])
-        assert frequent_attributes(g, 50) == frozenset({g.attribute_id("a0")})
+        assert frequent_attributes(g, 50) == frozenset({g.attr_labels.index("a0")})
 
     def test_either_graph_counts(self):
         g = graph_with_counts([3])
         g2 = graph_with_counts([10])
         assert frequent_attributes(g, 5) == frozenset()
-        assert frequent_attributes(g2, 5) == frozenset({g2.attribute_id("a0")})
+        assert frequent_attributes(g2, 5) == frozenset({g2.attr_labels.index("a0")})
 
     def test_min_count_validated(self):
         with pytest.raises(ValueError):
@@ -473,12 +471,13 @@ class TestInitialSeeds:
     def test_same_name_attribute_casefolded(self):
         g, g2 = self.build_pair()
         store = build_initial_seeds(g, g2, [("e1", "f1")])
-        assert (g.attribute_id("birthDate"), g2.attribute_id("birthdate")) in store.attr_pairs
+        pair = (g.attr_labels.index("birthDate"), g2.attr_labels.index("birthdate"))
+        assert pair in store.attr_pairs
 
     def test_same_name_relation(self):
         g, g2 = self.build_pair()
         store = build_initial_seeds(g, g2, [("e1", "f1")])
-        assert (g.relation_id("born in"), g2.relation_id("Born In")) in store.rel_pairs
+        assert (g.rel_labels.index("born in"), g2.rel_labels.index("Born In")) in store.rel_pairs
 
     def test_value_seed_from_entity_and_attribute_seeds(self):
         g, g2 = self.build_pair()
@@ -502,11 +501,11 @@ class TestInitialSeeds:
                            [("e1", "Name", "x"), ("e1", " name", "y")])
         g2 = KnowledgeGraph([("f1", "BORN IN", "f2"), ("f2", "born in", "f1")],
                             [("f1", "NAME", "x"), ("f1", "name", "y")])
-        assert g.relation_id("Born In") < g.relation_id("born in ")
-        assert g2.attribute_id("NAME") < g2.attribute_id("name")
+        assert g.rel_labels.index("Born In") < g.rel_labels.index("born in ")
+        assert g2.attr_labels.index("NAME") < g2.attr_labels.index("name")
         store = build_initial_seeds(g, g2, [("e1", "f1")])
-        assert store.rel_pairs == {(g.relation_id("Born In"), g2.relation_id("BORN IN"))}
-        assert store.attr_pairs == {(g.attribute_id("Name"), g2.attribute_id("NAME"))}
+        assert store.rel_pairs == {(g.rel_labels.index("Born In"), g2.rel_labels.index("BORN IN"))}
+        assert store.attr_pairs == {(g.attr_labels.index("Name"), g2.attr_labels.index("NAME"))}
 
     def test_unknown_entity_named_in_error(self):
         g, g2 = self.build_pair()
@@ -560,39 +559,38 @@ def store_state(store):
 class TestAlignmentStore:
     def test_one_to_one_enforced_at_insertion(self):
         store = AlignmentStore()
-        assert store.add_ent_pair(0, 0, "seed")
-        assert not store.add_ent_pair(0, 1, "seed")
-        assert not store.add_ent_pair(1, 0, "seed")
-        assert store.add_ent_pair(1, 1, "seed")
+        assert store.add("ent", 0, 0, "seed")
+        assert not store.add("ent", 0, 1, "seed")
+        assert not store.add("ent", 1, 0, "seed")
+        assert store.add("ent", 1, 1, "seed")
         assert store.ent_pairs == {(0, 0), (1, 1)}
 
     @pytest.mark.parametrize("kind", ["ent", "rel", "attr"])
     def test_readding_a_pair_keeps_its_first_provenance(self, kind):
         store = AlignmentStore()
-        add = getattr(store, f"add_{kind}_pair")
-        assert add(2, 3, "seed")
-        assert not add(2, 3, "merged")
+        assert store.add(kind, 2, 3, "seed")
+        assert not store.add(kind, 2, 3, "merged")
         assert getattr(store, f"{kind}_pairs") == {(2, 3)}
         assert store.provenance == {(kind, 2, 3): "seed"}
 
     def test_provenance_tracked(self):
         store = AlignmentStore()
-        store.add_ent_pair(0, 0, "seed")
-        store.add_attr_pair(2, 3, "attribute-view")
+        store.add("ent", 0, 0, "seed")
+        store.add("attr", 2, 3, "attribute-view")
         assert store.provenance[("ent", 0, 0)] == "seed"
         assert store.provenance[("attr", 2, 3)] == "attribute-view"
 
     def test_copy_is_independent(self):
         store = AlignmentStore()
-        store.add_ent_pair(0, 0, "seed")
-        store.add_rel_pair(0, 0, "seed")
-        store.add_attr_pair(0, 0, "seed")
+        store.add("ent", 0, 0, "seed")
+        store.add("rel", 0, 0, "seed")
+        store.add("attr", 0, 0, "seed")
         store.add_val_pair(ValueText.from_raw("x"), ValueText.from_raw("y"), "seed")
         before = {name: value.copy() for name, value in vars(store).items()}
         dup = store.copy()
-        dup.add_ent_pair(1, 1, "merged")
-        dup.add_rel_pair(1, 1, "relationship-view")
-        dup.add_attr_pair(1, 1, "attribute-view")
+        dup.add("ent", 1, 1, "merged")
+        dup.add("rel", 1, 1, "relationship-view")
+        dup.add("attr", 1, 1, "attribute-view")
         dup.add_val_pair(ValueText.from_raw("u"), ValueText.from_raw("w"), "attribute-view")
         dup.provenance[("ent", 0, 0)] = "merged"
         assert (1, 1) not in store.ent_pairs
@@ -610,14 +608,14 @@ class TestAlignmentStore:
     def test_copy_and_original_share_no_state(self, changed):
         store = AlignmentStore()
         for kind in KINDS:
-            getattr(store, f"add_{kind}_pair")(0, 0, "seed")
+            store.add(kind, 0, 0, "seed")
         store.add_val_pair(ValueText.from_raw("x"), ValueText.from_raw("y"), "seed")
         dup = store.copy()
         expected = store_state(store)
         assert store_state(dup) == expected
         target, other = (dup, store) if changed == "copy" else (store, dup)
         for kind in KINDS:
-            assert getattr(target, f"add_{kind}_pair")(1, 1, "merged")
+            assert target.add(kind, 1, 1, "merged")
         assert target.add_val_pair(ValueText.from_raw("u"), ValueText.from_raw("w"), "merged")
         assert store_state(other) == expected
         assert target.size() == other.size() + 4
@@ -636,7 +634,8 @@ class TestAlignmentStore:
             if kind == "val":
                 left, right = ValueText.from_raw(f"v{left}"), ValueText.from_raw(f"w{right}")
             before = store_state(store)
-            added = getattr(store, f"add_{kind}_pair")(left, right, provenance)
+            added = (store.add_val_pair(left, right, provenance) if kind == "val"
+                     else store.add(kind, left, right, provenance))
             assert added == getattr(oracle, f"add_{kind}_pair")(left, right, provenance)
             after = store_state(store)
             assert all(before[name] <= after[name] for name in before)  # only grows

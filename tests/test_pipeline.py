@@ -614,7 +614,8 @@ def test_attribute_proposals_skip_taken_attributes(aligned):
     g = res.left
     store = build_initial_seeds(g, g2, res.ill_train)
     for k in range(aligned):
-        store.add_attr_pair(g.attribute_id(f"attr{k}"), g2.attribute_id(f"other{k}"), "seed")
+        store.add("attr", g.attr_labels.index(f"attr{k}"), g2.attr_labels.index(f"other{k}"),
+                  "seed")
     table = train_translation(sorted(store.val_pairs, key=lambda p: (p[0].raw, p[1].raw)), 10)
     provider = WordVectorProvider(40)
     frequent_right = frequent_attributes(g2, 5)

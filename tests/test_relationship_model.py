@@ -12,6 +12,7 @@ from kgalign.relationship_model import (
     EmbeddingTable,
     TrainConfig,
     _is_positive,
+    _triple_keys,
     entity_similarity_rel,
     minibatch_loss_and_grad,
     relation_similarity,
@@ -39,7 +40,7 @@ class TestSwapTriplets:
     def test_single_entity_swap(self):
         g, g2 = small_pair()
         store = AlignmentStore()
-        store.add_ent_pair(g.entity_id("e1"), g2.entity_id("f1"), "seed")
+        store.add("ent", g.entity_id("e1"), g2.entity_id("f1"), "seed")
         swapped = swap_triplets(g, g2, store)
         triples = set(map(tuple, swapped.triples.tolist()))
         # tail e1 swapped for f1 (combined id 2 + f1) and vice versa
@@ -56,8 +57,8 @@ class TestSwapTriplets:
     def test_hand_enumerated_closure(self):
         g, g2 = small_pair()
         store = AlignmentStore()
-        store.add_ent_pair(g.entity_id("e0"), g2.entity_id("f0"), "seed")
-        store.add_rel_pair(g.relation_id("r0"), g2.relation_id("s0"), "seed")
+        store.add("ent", g.entity_id("e0"), g2.entity_id("f0"), "seed")
+        store.add("rel", g.rel_labels.index("r0"), g2.rel_labels.index("s0"), "seed")
         swapped = swap_triplets(g, g2, store)
         # base (0,0,1), (2,1,3); e0<->f0 head swaps give (2,0,1), (0,1,3);
         # r0<->s0 relation swaps on the base give (0,1,1), (2,0,3)
@@ -68,7 +69,7 @@ class TestSwapTriplets:
         g = KnowledgeGraph([("e0", "r0", "e1"), ("e1", "r0", "e0")], [])
         g2 = KnowledgeGraph([("f0", "s0", "f1")], [])
         store = AlignmentStore()
-        store.add_ent_pair(0, 0, "seed")
+        store.add("ent", 0, 0, "seed")
         swapped = swap_triplets(g, g2, store)
         assert len(swapped.triples) == len(set(map(tuple, swapped.triples.tolist())))
 
@@ -85,13 +86,17 @@ class TestSwapTriplets:
                  for side, rows in (("e", left), ("f", right)))
         store = AlignmentStore()
         for m, n in ent_pairs:
-            store.add_ent_pair(m, n, "seed")
+            store.add("ent", m, n, "seed")
         for a, b in rel_pairs:
             if a < g.num_relations and b < g2.num_relations:
-                store.add_rel_pair(a, b, "seed")
-        triples = swap_triplets(g, g2, store).triples
+                store.add("rel", a, b, "seed")
+        swapped = swap_triplets(g, g2, store)
+        triples = swapped.triples
         assert triples.dtype == np.int64 and triples.shape == (len(triples), 3)
         assert triples.tolist() == [list(t) for t in swap_triplets_tuples(g, g2, store)]
+        # train_transe searches these keys as they are
+        keys = _triple_keys(triples, swapped.n_entities, swapped.n_relations)
+        assert (np.diff(keys) > 0).all()
 
 
 class TestEnergy:
@@ -414,7 +419,7 @@ class TestRelationshipInference:
 
     def test_relation_pairs_respect_store(self):
         store = AlignmentStore()
-        store.add_rel_pair(0, 0, "seed")
+        store.add("rel", 0, 0, "seed")
         scores = np.array([[0.99, 0.95], [0.96, 0.94]])
         pairs = infer_entity_pairs(scores, 0.9, *store.taken("rel"))
         # relation 0 on both sides is taken, so only (1, 1) can be added

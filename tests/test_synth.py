@@ -1,5 +1,7 @@
 """Synthetic graph-pair generator and its ground truth."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,7 @@ class TestGenerateSynth:
 
     def test_unique_name_value_per_entity(self):
         res = generate_synth(SynthSpec(n_entities=25, rng_seed=3))
-        name_attr = res.left.attribute_id("name")
+        name_attr = res.left.attr_labels.index("name")
         values = [v.raw for e in range(res.left.num_entities)
                   for a, v in res.left.attributes_of(e) if a == name_attr]
         assert len(values) == 25
@@ -71,7 +73,7 @@ class TestGenerateSynth:
         sigma = np.sqrt(non_name_left * 0.3 * 0.7)
         assert abs(non_name_right - expected) <= 3 * sigma
         # name triples are never dropped
-        name_attr = res.right.attribute_id("name")
+        name_attr = res.right.attr_labels.index("name")
         assert sum(1 for _, a, _ in res.right.attr_triples if a == name_attr) == n
 
     def test_split_respects_seed_fraction(self):
@@ -113,3 +115,18 @@ class TestWriteDataset:
         assert g.num_entities == res.left.num_entities
         assert len(g.rel_triples) == len(res.left.rel_triples)
         assert len(g.attr_triples) == len(res.left.attr_triples)
+
+    @pytest.mark.parametrize("spec, digest", [
+        (SynthSpec(n_entities=300, drop_prob=0.3, rng_seed=5),
+         "b4004ca75e5d5f28a0b1d9de98c6fde86406fe0fad917bb4d743a8dffbcb4e33"),
+        # the right graph keeps only 5 of the 12 relations
+        (SynthSpec(n_entities=40, n_relations=12, drop_prob=0.95, rng_seed=2),
+         "6b43e01fefa69eb728ae25eb327b66de17e4e172a28f075f30dc3ed029ea071f"),
+    ])
+    def test_frozen_bytes(self, tmp_path, spec, digest):
+        # every file, its name included, in sorted order
+        write_dataset(generate_synth(spec), tmp_path)
+        h = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            h.update(path.name.encode("utf-8") + b"\0" + path.read_bytes() + b"\0")
+        assert h.hexdigest() == digest
