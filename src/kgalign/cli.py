@@ -298,15 +298,22 @@ def cmd_gen(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    try:
+        scores = read_similarity_dump(args.matrix)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    n, n2 = scores.shape
     pairs = []
     for lineno, (left, right) in read_fields(args.test, 2):
         try:
-            pairs.append((int(left), int(right)))
+            row, col = int(left), int(right)
         except ValueError:
             raise ParseError(args.test, lineno,
                              f"expected integer ids, got {left!r}, {right!r}") from None
+        if not (0 <= row < n and 0 <= col < n2):
+            raise ParseError(args.test, lineno, f"ids {row}, {col} outside the {n} x {n2} matrix")
+        pairs.append((row, col))
     try:
-        scores = read_similarity_dump(args.matrix)
         ks = tuple(int(x) for x in args.ks.split(",") if x.strip())
         report = evaluate(scores, pairs, ks, source=args.source)
     except ValueError as exc:

@@ -21,6 +21,7 @@ import gc
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import itemgetter
 
 import numpy as np
@@ -121,6 +122,12 @@ def read_fields(path, count: int, literal: bool = False):
         yield lineno, fields
 
 
+def write_rows(path, rows) -> None:
+    """Write each row's fields joined by tabs, one UTF-8 line per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines("\t".join(row) + "\n" for row in rows)
+
+
 class KnowledgeGraph:
     """Immutable interned view of one graph.
 
@@ -139,6 +146,7 @@ class KnowledgeGraph:
         attr_triples = sorted({(ents.setdefault(h, len(ents)), attrs.setdefault(a, len(attrs)), v)
                                for h, a, v in attr_rows})
         texts: dict[str, ValueText] = {}
+        ends = [0] * (len(ents) + 1)  # at h + 1: one past h's last row, else 0
         for i, (h, a, v) in enumerate(attr_triples):
             text = texts.get(v)
             if text is None:
@@ -146,14 +154,14 @@ class KnowledgeGraph:
             # In place: each key tuple is freed as its triple is made, which
             # keeps one list of rows alive and holds the peak memory down.
             attr_triples[i] = (h, a, text)
+            ends[h + 1] = i + 1
         # Ids are handed out in insertion order, so each table lists its labels by id.
         self._ent_ids = ents
         self.ent_labels, self.rel_labels, self.attr_labels = list(ents), list(rels), list(attrs)
         self.rel_triples = sorted(rel_triples)
         self.attr_triples = attr_triples
-        self._attrs_by_entity: dict[int, list[tuple[int, ValueText]]] = {}
-        for h, a, v in self.attr_triples:
-            self._attrs_by_entity.setdefault(h, []).append((a, v))
+        # Entity h's rows run from _attr_starts[h] to _attr_starts[h + 1] (ints: not GC-tracked).
+        self._attr_starts = list(accumulate(ends, max))
         self.attribute_counts = Counter(a for _, a, _ in self.attr_triples)
 
     @property
@@ -177,9 +185,9 @@ class KnowledgeGraph:
     def has_entity(self, label: str) -> bool:
         return label in self._ent_ids
 
-    def attributes_of(self, entity: int) -> list[tuple[int, ValueText]]:
-        """Attribute slots of one entity in deterministic order."""
-        return self._attrs_by_entity.get(entity, [])
+    def attributes_of(self, entity: int) -> list[tuple[int, int, ValueText]]:
+        """``(entity, attribute, value)`` rows of one entity: its slice of ``attr_triples``."""
+        return self.attr_triples[self._attr_starts[entity]:self._attr_starts[entity + 1]]
 
 
 def _without_cyclic_gc(func):
@@ -230,7 +238,7 @@ def top_m_attr_slots(g: KnowledgeGraph, entity: int, m_slots: int,
     if m_slots < 1:
         raise ValueError("m_slots must be >= 1")
     counts = g.attribute_counts
-    slots = [(a, v) for a, v in g.attributes_of(entity) if a in frequent]
+    slots = [(a, v) for _, a, v in g.attributes_of(entity) if a in frequent]
     slots.sort(key=lambda av: (-counts[av[0]], av[0], av[1].raw))
     return slots[:m_slots]
 
@@ -355,11 +363,11 @@ def cooccurring_values(g: KnowledgeGraph, g2: KnowledgeGraph, ent_pairs,
     an aligned attribute pair; by pair, then left slot, then right value."""
     for left, right in ent_pairs:
         slots_right = g2.attributes_of(right)
-        for attr, value in g.attributes_of(left):
+        for _, attr, value in g.attributes_of(left):
             counterpart = attr_map.get(attr)
             if counterpart is None:
                 continue
-            for attr2, value2 in slots_right:
+            for _, attr2, value2 in slots_right:
                 if attr2 == counterpart:
                     yield value, value2
 

@@ -36,6 +36,7 @@ from .kg import (
     frequent_attributes,
     greedy_one_to_one,
     infer_entity_pairs,
+    write_rows,
 )
 from .metrics import SimilarityMatrix
 from .relationship_model import (
@@ -424,6 +425,4 @@ def write_alignment_dump(store: AlignmentStore, g: KnowledgeGraph, g2: Knowledge
         if kind in labels:
             left, right = labels[kind][0][left], labels[kind][1][right]
         rows.append((kind, left, right, provenance))
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in sorted(rows):
-            fh.write("\t".join(row) + "\n")
+    write_rows(path, sorted(rows))

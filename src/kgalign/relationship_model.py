@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kg import AlignmentStore, KnowledgeGraph
+from .kg import AlignmentStore, KnowledgeGraph, write_rows
 
 LOG = logging.getLogger(__name__)
 
@@ -267,6 +267,5 @@ def relation_similarity(table: EmbeddingTable) -> np.ndarray:
 
 def export_embeddings(vectors: np.ndarray, labels, path) -> None:
     """One line per id: ``label<TAB>v1,v2,...`` with 9 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for label, row in zip(labels, vectors):
-            fh.write(label + "\t" + ",".join(f"{x:.9g}" for x in row) + "\n")
+    write_rows(path, ((label, ",".join(f"{x:.9g}" for x in row))
+                      for label, row in zip(labels, vectors)))

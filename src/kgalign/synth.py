@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kg import PROV_SEED, AlignmentStore, KnowledgeGraph, ValueText
+from .kg import PROV_SEED, AlignmentStore, KnowledgeGraph, ValueText, write_rows
 
 NAME_ATTRIBUTE = "name"
 
@@ -168,37 +168,20 @@ def write_dataset(result: SynthResult, out_dir) -> list[str]:
     dataset file paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    def dump_triples(path, graph, use_attrs):
-        with open(path, "w", encoding="utf-8") as fh:
-            if use_attrs:
-                for h, a, v in graph.attr_triples:
-                    fh.write(f"{graph.ent_labels[h]}\t{graph.attr_labels[a]}\t{v.raw}\n")
-            else:
-                for h, r, t in graph.rel_triples:
-                    fh.write(f"{graph.ent_labels[h]}\t{graph.rel_labels[r]}\t"
-                             f"{graph.ent_labels[t]}\n")
-
-    dump_triples(out / "rel_triples_1", result.left, False)
-    dump_triples(out / "attr_triples_1", result.left, True)
-    dump_triples(out / "rel_triples_2", result.right, False)
-    dump_triples(out / "attr_triples_2", result.right, True)
-    with open(out / "ill_ent_pairs", "w", encoding="utf-8") as fh:
-        for a, b in result.all_ills():
-            fh.write(f"{a}\t{b}\n")
-
-    for name, pairs in (("ill_train", result.ill_train), ("ill_valid", result.ill_valid),
-                        ("ill_test", result.ill_test)):
-        with open(out / name, "w", encoding="utf-8") as fh:
-            for a, b in pairs:
-                fh.write(f"{a}\t{b}\n")
-    with open(out / "truth_dictionary", "w", encoding="utf-8") as fh:
-        for source in sorted(result.dictionary):
-            fh.write(f"{source}\t{result.dictionary[source]}\n")
-    with open(out / "truth_attr_pairs", "w", encoding="utf-8") as fh:
-        for a, b in sorted(result.truth.attr_pairs):
-            fh.write(f"{result.left.attr_labels[a]}\t{result.right.attr_labels[b]}\n")
-    with open(out / "truth_rel_pairs", "w", encoding="utf-8") as fh:
-        for a, b in sorted(result.truth.rel_pairs):
-            fh.write(f"{result.left.rel_labels[a]}\t{result.right.rel_labels[b]}\n")
+    left, right = result.left, result.right
+    files = {"ill_ent_pairs": result.all_ills(), "ill_train": result.ill_train,
+             "ill_valid": result.ill_valid, "ill_test": result.ill_test,
+             "truth_dictionary": sorted(result.dictionary.items()),
+             "truth_attr_pairs": [(left.attr_labels[a], right.attr_labels[b])
+                                  for a, b in sorted(result.truth.attr_pairs)],
+             "truth_rel_pairs": [(left.rel_labels[a], right.rel_labels[b])
+                                 for a, b in sorted(result.truth.rel_pairs)]}
+    for side, g in (("1", left), ("2", right)):
+        ents = g.ent_labels
+        files[f"rel_triples_{side}"] = [(ents[h], g.rel_labels[r], ents[t])
+                                        for h, r, t in g.rel_triples]
+        files[f"attr_triples_{side}"] = [(ents[h], g.attr_labels[a], v.raw)
+                                         for h, a, v in g.attr_triples]
+    for name, rows in files.items():
+        write_rows(out / name, rows)
     return [str(out / name) for name in DATASET_FILES]

@@ -101,11 +101,11 @@ def train_translation(pairs, iterations: int = 10) -> TranslationTable:
         # ``np.cumsum`` adds the terms one by one in corpus order.
         terms = np.array(list(map(math.log, denom.tolist()))) - log_len
         log_likelihoods.append(float(np.cumsum(terms)[-1]))
-        live = p > 0.0
-        c = p[live] / denom[entry_pos[live]]
-        counts = np.bincount(entry_cell[live], weights=c, minlength=len(cell_key))
-        totals = np.bincount(entry_src[live], weights=c, minlength=len(sources))
-        has_count = np.bincount(entry_cell[live], minlength=len(cell_key)) > 0
+        # An entry with p == 0 adds +0.0: every denominator is > 0, or math.log had raised.
+        c = p / denom[entry_pos]
+        counts = np.bincount(entry_cell, weights=c, minlength=len(cell_key))
+        totals = np.bincount(entry_src, weights=c, minlength=len(sources))
+        has_count = counts > 0.0
         with np.errstate(invalid="ignore"):  # 0/0 for a source without counts
             prob = np.where(has_count, counts / totals[cell_src], 0.0)
 

@@ -410,13 +410,13 @@ def infer_from_attribute_view_unskipped(s_attr, store, tau_e_attr, tau_v, g, g2,
 
 
 def attribute_index_per_row(g, attr_rows):
-    """``g``'s attribute triples, slots by entity and attribute counts, built
-    with one ``ValueText`` per row."""
+    """``g``'s attribute triples, its rows by entity and attribute counts,
+    built with one ``ValueText`` per row."""
     triples = sorted({(g.entity_id(h), g.attr_labels.index(a), ValueText.from_raw(v))
                       for h, a, v in attr_rows}, key=lambda x: (x[0], x[1], x[2].raw))
     by_entity = {}
-    for h, a, v in triples:
-        by_entity.setdefault(h, []).append((a, v))
+    for row in triples:
+        by_entity.setdefault(row[0], []).append(row)
     return triples, by_entity, Counter(a for _, a, _ in triples)
 
 
@@ -463,8 +463,9 @@ def _labels_by_id(table):
 
 
 class GraphPerRow(KnowledgeGraph):
-    """A ``KnowledgeGraph`` that interns one label at a time and deduplicates
-    attribute rows as (entity, attribute, ``ValueText``) triples."""
+    """A ``KnowledgeGraph`` that interns one label at a time, deduplicates
+    attribute rows as (entity, attribute, ``ValueText``) triples, and answers
+    ``attributes_of`` from its own per-entity lists."""
 
     def __init__(self, rel_rows, attr_rows):
         self._ent_ids = {}
@@ -487,9 +488,12 @@ class GraphPerRow(KnowledgeGraph):
         self.rel_triples = sorted(rel_triples)
         self.attr_triples = sorted(attr_triples, key=lambda x: (x[0], x[1], x[2].raw))
         self._attrs_by_entity = {}
-        for h, a, v in self.attr_triples:
-            self._attrs_by_entity.setdefault(h, []).append((a, v))
+        for row in self.attr_triples:
+            self._attrs_by_entity.setdefault(row[0], []).append(row)
         self.attribute_counts = Counter(a for _, a, _ in self.attr_triples)
+
+    def attributes_of(self, entity):
+        return self._attrs_by_entity.get(entity, [])
 
 
 def load_graph_per_line(rel_path, attr_path):

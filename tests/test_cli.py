@@ -440,7 +440,9 @@ class TestEval:
         assert payload["mrr"] == pytest.approx(expected.mrr)
 
     @pytest.mark.parametrize("content, lineno", [("0\t0\n\n1\t1\t1\n", 3),
-                                                  ("0\t0\nx\t1\n", 2)])
+                                                  ("0\t0\nx\t1\n", 2),
+                                                  ("0\t0\n\n5\t1\n", 3),
+                                                  ("0\t-1\n", 1)])
     def test_malformed_index_line_exit_two_with_location(self, tmp_path, caplog,
                                                          content, lineno):
         write_similarity_dump(np.eye(2), tmp_path / "s.bin")

@@ -3,8 +3,9 @@ public definition is used by the library or the benchmark, no dataclass
 merely wraps one field, no public method only forwards to another with a
 constant filled in, the view and metric modules import only the graph
 and translator layers, only the pause helper in ``kg`` switches the garbage
-collector, no line is longer than 99 columns, and the README's config and
-library examples name only what the package has."""
+collector, only ``kg`` holds the tab that separates the fields of a row, no
+line is longer than 99 columns, and the README's config and library examples
+name only what the package has."""
 
 import ast
 import re
@@ -203,6 +204,28 @@ def test_detects_package_imports():
 def test_lines_fit_in_99_columns(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [n for n, line in enumerate(lines, 1) if len(line) > 99] == []
+
+
+def tab_constants(source):
+    """Line of each string constant that holds a tab, f-string parts included."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "\t" in node.value]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "kg.py"],
+                         ids=lambda p: p.name)
+def test_only_kg_knows_the_field_separator(path):
+    # Rows are read by kg.read_fields and written by kg.write_rows; a module
+    # that splits or joins on tabs itself is a second copy of the format.
+    assert tab_constants(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_tab_constants():
+    source = ('x = "a\\tb"\ny = "ab"\n'
+              'def f(a, b):\n    return f"{a}\\t{b}\\n"\n'
+              "z = '\\t'.join(['\\t'])\nw = b'\\t'\n")
+    assert tab_constants(source) == [1, 4, 5, 5]
 
 
 _GC_SWITCHES = {"disable", "enable", "freeze", "set_threshold"}

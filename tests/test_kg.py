@@ -23,6 +23,7 @@ from kgalign.kg import (
     read_lines,
     tokenize,
     top_m_attr_slots,
+    write_rows,
 )
 from kgalign.pipeline import write_alignment_dump
 
@@ -279,6 +280,21 @@ class TestValueInterning:
         assert not hasattr(ValueText.from_raw("x"), "__dict__")
 
 
+FIELD_CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\r\n")
+
+
+@st.composite
+def tab_separated_rows(draw):
+    """``(count, literal, rows)``: rows of ``count`` fields without a tab, CR
+    or LF, each non-empty except the last under ``literal``.  A row that
+    would make a blank line is left out, since the reader skips blank lines."""
+    count, literal = draw(st.integers(1, 4)), draw(st.booleans())
+    fields = [st.text(FIELD_CHARS, min_size=1, max_size=6)] * (count - 1)
+    fields.append(st.text(FIELD_CHARS, min_size=0 if literal else 1, max_size=6))
+    row = st.tuples(*fields).filter(lambda row: "\t".join(row).strip())
+    return count, literal, draw(st.lists(row, max_size=6))
+
+
 class TestFieldRules:
     """One reader for every tab-separated input: a line of only whitespace is
     skipped, and an entity, relation or attribute field must not be empty."""
@@ -316,6 +332,16 @@ class TestFieldRules:
         write_lines(path, ["e1\tf1", line])
         with pytest.raises(ParseError, match=re.escape(f"{path}:2: field {field} is empty")):
             list(read_fields(path, 2))
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tab_separated_rows())
+    def test_written_rows_read_back(self, tmp_path, case):
+        count, literal, rows = case
+        path = tmp_path / "rows"
+        write_rows(path, rows)
+        assert list(read_fields(path, count, literal)) == [(lineno, list(row))
+                                                           for lineno, row in enumerate(rows, 1)]
 
 
 @pytest.fixture
@@ -441,7 +467,7 @@ class TestTopMSlots:
         # independent application of the rule: frequency desc, attr id, value
         counts = g.attribute_counts
         expected = sorted(
-            ((a, v) for a, v in g.attributes_of(g.entity_id("e0"))),
+            ((a, v) for _, a, v in g.attributes_of(g.entity_id("e0"))),
             key=lambda av: (-counts[av[0]], av[0], av[1].raw),
         )[:20]
         assert slots == expected

@@ -447,3 +447,5 @@ class TestEmbeddingExport:
         first_row = [float(x) for x in lines[0].split("\t")[1].split(",")]
         np.testing.assert_allclose(first_row, vectors[0], rtol=1e-8)
         assert lines[0].split("\t")[1].split(",")[0] == "0.333333333"
+        assert path.read_text(encoding="utf-8") == ("alpha\t0.333333333,-0.285714286\n"
+                                                    "beta\t0.125,10\n")

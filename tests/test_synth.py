@@ -43,7 +43,7 @@ class TestGenerateSynth:
         res = generate_synth(SynthSpec(n_entities=25, rng_seed=3))
         name_attr = res.left.attr_labels.index("name")
         values = [v.raw for e in range(res.left.num_entities)
-                  for a, v in res.left.attributes_of(e) if a == name_attr]
+                  for _, a, v in res.left.attributes_of(e) if a == name_attr]
         assert len(values) == 25
         assert len(set(values)) == 25
 
@@ -53,11 +53,11 @@ class TestGenerateSynth:
         attr_map = dict(res.truth.attr_pairs)
         reachable = set()
         for left_ent, right_ent in res.truth.ent_pairs:
-            for attr, value in res.left.attributes_of(left_ent):
+            for _, attr, value in res.left.attributes_of(left_ent):
                 counterpart = attr_map.get(attr)
                 if counterpart is None:
                     continue
-                for attr2, value2 in res.right.attributes_of(right_ent):
+                for _, attr2, value2 in res.right.attributes_of(right_ent):
                     if attr2 == counterpart:
                         reachable.add((value, value2))
         assert res.truth.val_pairs <= reachable
