@@ -245,8 +245,11 @@ def cmd_align(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     result = run_pipeline(g, g2, seeds, settings, merge_mode=cfg.merge_mode,
                           max_iterations=cfg.max_iterations, valid_pairs=valid_ids)
-    LOG.info("pipeline %s after %d iteration(s)",
-             "converged" if result.converged else "was truncated", len(result.records))
+    if result.converged:
+        LOG.info("pipeline converged after %d iteration(s)", len(result.records))
+    else:
+        LOG.warning("pipeline was truncated at max_iterations after %d iteration(s)",
+                    len(result.records))
 
     write_iteration_log(result, out / "iterations.jsonl")
     write_alignment_dump(result.store, g, g2, out / "alignments.tsv")

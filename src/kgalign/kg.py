@@ -123,9 +123,21 @@ def read_fields(path, count: int, literal: bool = False):
 
 
 def write_rows(path, rows) -> None:
-    """Write each row's fields joined by tabs, one UTF-8 line per row."""
+    """Write each row's fields joined by tabs, one UTF-8 line per row.
+
+    A row that :func:`read_fields` would not read back as written raises
+    ``ValueError`` naming its index, and the rows before it stay written: a
+    row whose line is blank or only whitespace, which the reader skips, and a
+    row with a field that holds a tab, CR or LF, which would split it.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines("\t".join(row) + "\n" for row in rows)
+        for index, row in enumerate(rows):
+            line = "\t".join(row)
+            if not line or line.isspace():
+                raise ValueError(f"row {index} would be a blank line: {row!r}")
+            if line.count("\t") >= len(row) or "\n" in line or "\r" in line:
+                raise ValueError(f"row {index} has a field with a tab, CR or LF: {row!r}")
+            fh.write(line + "\n")
 
 
 class KnowledgeGraph:

@@ -6,6 +6,13 @@ what makes swapped triplets meaningful.  Training minimizes the margin loss
 max(0, margin + E(pos) - E(neg)) with E(h, r, t) = ||h + r - t||, plain SGD,
 and uniformly corrupted negatives drawn from the corrupted entity's own
 graph.
+
+A batch of B positives with k negatives each costs O(B · dim) for the
+positives' deltas, which are taken once and not once per negative, and
+O(B · k · dim) for the negatives'.  Its entity update costs O(touched rows ·
+dim): only the rows the batch's heads and tails name are gathered, updated
+and normalized again, found by one pass over a boolean mask of all entities.
+The relation gradient covers the whole relation table.
 """
 
 from __future__ import annotations
@@ -105,9 +112,17 @@ class EmbeddingTable:
                 "capped_negatives": self.capped_negatives}
 
 
+_NORM_ROWS = 4096  # rows per block when a whole table is scaled to unit rows
+
+
+def _norms(d: np.ndarray) -> np.ndarray:
+    """Row norms: the floats ``np.linalg.norm(d, axis=1)`` gives, without its wrapper."""
+    return np.sqrt(np.add.reduce(d * d, axis=1))
+
+
 def _deltas(ent, rel, triples):
     d = ent[triples[:, 0]] + rel[triples[:, 1]] - ent[triples[:, 2]]
-    return d, np.linalg.norm(d, axis=1)
+    return d, _norms(d)
 
 
 def _scatter_rows(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
@@ -123,40 +138,58 @@ def _scatter_rows(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarr
     return out
 
 
-def minibatch_loss_and_grad(ent: np.ndarray, rel: np.ndarray, pos: np.ndarray,
-                            neg: np.ndarray, margin: float):
-    """Sum of margin violations over aligned (positive, negative) rows, and
-    its analytic gradient w.r.t. both tables: ``(loss, grad_ent, grad_rel)``.
+def _batch_gradients(ent: np.ndarray, rel: np.ndarray, pos: np.ndarray, neg: np.ndarray,
+                     k: int, margin: float):
+    """Margin loss of negative row ``i`` against positive row ``i // k``, and its
+    gradient: ``(loss, ids, grad_ids, grad_rel)``.
 
-    Each gradient cell accumulates in a fixed order: positive heads,
-    positive tails, negative heads, then negative tails for entities, and
-    positive then negative relations.
+    ``ids`` are the sorted entity rows the batch touches (heads and tails of
+    ``pos`` and ``neg``), and ``grad_ids[j]`` is the gradient of row
+    ``ids[j]``; every other entity row's gradient is zero.  ``grad_rel``
+    covers the whole relation table.  Each positive's delta, norm and unit
+    vector is computed once for its k negatives.  Each gradient cell
+    accumulates in a fixed order: positive heads, positive tails, negative
+    heads, then negative tails for entities, and positive then negative
+    relations.
     """
     pos_d, pos_norm = _deltas(ent, rel, pos)
     neg_d, neg_norm = _deltas(ent, rel, neg)
-    hinge = margin + pos_norm - neg_norm
+    hinge = margin + np.repeat(pos_norm, k) - neg_norm
     loss = float(np.maximum(0.0, hinge).sum())
-    violating = hinge > 0.0
-    pos_v = pos[violating]
+    violating = np.flatnonzero(hinge > 0.0)
+    of_positive = violating // k
+    pos_v = pos[of_positive]
     neg_v = neg[violating]
     # one block per entity role, in ent_rows order: +unit_pos (positive heads),
     # -unit_pos (positive tails), -unit_neg (negative heads), +unit_neg
     # (negative tails); blocks 0 and 2 are the relation contributions
-    units = np.empty((4, len(pos_v), ent.shape[1]))
-    np.divide(pos_d[violating], np.maximum(pos_norm[violating], 1e-12)[:, None], out=units[0])
+    dim = ent.shape[1]
+    units = np.empty((4, len(violating), dim))
+    pos_unit = pos_d / np.maximum(pos_norm, 1e-12)[:, None]
+    units[0] = pos_unit[of_positive]
     np.negative(units[0], out=units[1])
     np.divide(neg_d[violating], np.maximum(neg_norm[violating], 1e-12)[:, None], out=units[3])
     np.negative(units[3], out=units[2])
-    ent_rows = np.concatenate([pos_v[:, 0], pos_v[:, 2], neg_v[:, 0], neg_v[:, 2]])
+    touched = np.zeros(len(ent), dtype=bool)
+    touched[pos[:, 0]] = touched[pos[:, 2]] = touched[neg[:, 0]] = touched[neg[:, 2]] = True
+    ids = np.flatnonzero(touched)
+    compact = np.empty(len(ent), dtype=np.intp)  # entity row -> its index in ids
+    compact[ids] = np.arange(len(ids))
+    ent_rows = compact[np.concatenate([pos_v[:, 0], pos_v[:, 2], neg_v[:, 0], neg_v[:, 2]])]
     rel_rows = np.concatenate([pos_v[:, 1], neg_v[:, 1]])
-    grad_ent = _scatter_rows(ent_rows, units.reshape(-1, ent.shape[1]), ent.shape[0])
-    grad_rel = _scatter_rows(rel_rows, units[0::2].reshape(-1, ent.shape[1]), rel.shape[0])
-    return loss, grad_ent, grad_rel
+    grad_ids = _scatter_rows(ent_rows, units.reshape(-1, dim), len(ids))
+    grad_rel = _scatter_rows(rel_rows, units[0::2].reshape(-1, dim), len(rel))
+    return loss, ids, grad_ids, grad_rel
 
 
 def _unit_rows(block: np.ndarray) -> np.ndarray:
-    """Scale ``block``'s rows to unit length in place and return it; a zero row stays zero."""
-    block /= np.maximum(np.linalg.norm(block, axis=1, keepdims=True), 1e-12)
+    """Scale ``block``'s rows to unit length in place and return it; a zero row stays zero.
+
+    Rows go ``_NORM_ROWS`` at a time, so a whole table needs no table-sized temporary.
+    """
+    for start in range(0, len(block), _NORM_ROWS):
+        part = block[start:start + _NORM_ROWS]
+        part /= np.maximum(_norms(part), 1e-12)[:, None]
     return block
 
 
@@ -227,16 +260,14 @@ def train_transe(swapped: SwappedTriples, cfg: TrainConfig) -> EmbeddingTable:
             pos_rep = np.repeat(pos, k, axis=0)
             neg, capped = _sample_negatives(pos_rep, swapped, positive_keys, rng)
             table.capped_negatives += capped
-            loss, grad_ent, grad_rel = minibatch_loss_and_grad(ent, rel, pos_rep, neg, cfg.margin)
+            loss, ids, grad, grad_rel = _batch_gradients(ent, rel, pos, neg, k, cfg.margin)
             epoch_loss += loss
-            grad_ent *= cfg.learning_rate
             grad_rel *= cfg.learning_rate
-            ent -= grad_ent
             rel -= grad_rel
-            touched = np.zeros(len(ent), dtype=bool)
-            touched[pos_rep[:, [0, 2]]] = True
-            touched[neg[:, [0, 2]]] = True
-            ent[touched] = _unit_rows(ent[touched])
+            # an untouched row would subtract only +0.0 and keep its unit norm
+            rows = ent[ids]
+            rows -= cfg.learning_rate * grad
+            ent[ids] = _unit_rows(rows)
         table.epoch_losses.append(epoch_loss / (len(triples) * k))
     if table.capped_negatives:
         LOG.warning("%d negative(s) were still known positives after %d resampling rounds",

@@ -18,6 +18,7 @@ from kgalign.kg import (
     greedy_one_to_one,
     infer_entity_pairs,
 )
+from kgalign.relationship_model import EmbeddingTable, _sample_negatives, _triple_keys
 from kgalign.translator import TranslationTable, _dedup_pairs
 
 
@@ -49,6 +50,103 @@ def tokenize_loop(raw):
 def transe_energy(table, head, relation, tail):
     """||h + r - t||, the residual the relation-translation leaves behind."""
     return float(np.linalg.norm(table.ent[head] + table.rel[relation] - table.ent[tail]))
+
+
+def minibatch_loss_and_grad(ent, rel, pos, neg, margin):
+    """Sum of margin violations over aligned (positive, negative) rows, and its
+    gradient as full tables: ``(loss, grad_ent, grad_rel)``.
+
+    Every row's delta is computed on its own, and the gradient is scattered by
+    six unbuffered ``np.add.at`` calls, one per role, so each cell adds its
+    contributions to 0.0 in the order positive heads, positive tails, negative
+    heads, negative tails (entities) and positive, negative (relations).
+    """
+    pos_d = ent[pos[:, 0]] + rel[pos[:, 1]] - ent[pos[:, 2]]
+    neg_d = ent[neg[:, 0]] + rel[neg[:, 1]] - ent[neg[:, 2]]
+    pos_norm = np.linalg.norm(pos_d, axis=1)
+    neg_norm = np.linalg.norm(neg_d, axis=1)
+    hinge = margin + pos_norm - neg_norm
+    violating = hinge > 0.0
+    grad_ent = np.zeros_like(ent)
+    grad_rel = np.zeros_like(rel)
+    pos_v = pos[violating]
+    neg_v = neg[violating]
+    unit_pos = pos_d[violating] / np.maximum(pos_norm[violating], 1e-12)[:, None]
+    unit_neg = neg_d[violating] / np.maximum(neg_norm[violating], 1e-12)[:, None]
+    np.add.at(grad_ent, pos_v[:, 0], unit_pos)
+    np.add.at(grad_ent, pos_v[:, 2], -unit_pos)
+    np.add.at(grad_rel, pos_v[:, 1], unit_pos)
+    np.add.at(grad_ent, neg_v[:, 0], -unit_neg)
+    np.add.at(grad_ent, neg_v[:, 2], unit_neg)
+    np.add.at(grad_rel, neg_v[:, 1], -unit_neg)
+    return float(np.maximum(0.0, hinge).sum()), grad_ent, grad_rel
+
+
+def spread_rows(ids, rows, n_rows):
+    """The ``(n_rows, dim)`` table that holds ``rows[j]`` at row ``ids[j]`` and
+    zeros everywhere else."""
+    table = np.zeros((n_rows, rows.shape[1]))
+    table[ids] = rows
+    return table
+
+
+def finite_difference(ent, rel, pos, neg, margin, h=1e-5):
+    """Central differences of :func:`minibatch_loss_and_grad`'s loss in every
+    cell of ``ent`` and ``rel``: ``[grad_ent, grad_rel]``."""
+    grads = []
+    for array in (ent, rel):
+        grad = np.zeros_like(array)
+        it = np.nditer(array, flags=["multi_index"])
+        while not it.finished:
+            idx = it.multi_index
+            original = array[idx]
+            array[idx] = original + h
+            up = minibatch_loss_and_grad(ent, rel, pos, neg, margin)[0]
+            array[idx] = original - h
+            down = minibatch_loss_and_grad(ent, rel, pos, neg, margin)[0]
+            array[idx] = original
+            grad[idx] = (up - down) / (2 * h)
+            it.iternext()
+        grads.append(grad)
+    return grads
+
+
+def _unit_rows_whole(table):
+    table /= np.maximum(np.linalg.norm(table, axis=1, keepdims=True), 1e-12)
+    return table
+
+
+def train_transe_dense(swapped, cfg):
+    """TransE training with full-table steps: every positive repeated k times
+    before its delta is taken, the gradient of every entity row, untouched or
+    not, subtracted from the whole table, and the touched rows normalized
+    again.  Negatives are drawn as the library draws them."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    bound = 6.0 / np.sqrt(cfg.dim)
+    ent = _unit_rows_whole(rng.uniform(-bound, bound, (swapped.n_entities, cfg.dim)))
+    rel = _unit_rows_whole(rng.uniform(-bound, bound, (swapped.n_relations, cfg.dim)))
+    triples = swapped.triples
+    positive_keys = _triple_keys(triples, swapped.n_entities, swapped.n_relations)
+    k = cfg.negatives_per_positive
+    table = EmbeddingTable(ent, rel, swapped.ent_split, swapped.rel_split)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(triples))
+        epoch_loss = 0.0
+        for start in range(0, len(order), cfg.batch_size):
+            pos_rep = np.repeat(triples[order[start:start + cfg.batch_size]], k, axis=0)
+            neg, capped = _sample_negatives(pos_rep, swapped, positive_keys, rng)
+            table.capped_negatives += capped
+            loss, grad_ent, grad_rel = minibatch_loss_and_grad(ent, rel, pos_rep, neg,
+                                                               cfg.margin)
+            epoch_loss += loss
+            ent -= grad_ent * cfg.learning_rate
+            rel -= grad_rel * cfg.learning_rate
+            touched = np.zeros(len(ent), dtype=bool)
+            touched[pos_rep[:, [0, 2]]] = True
+            touched[neg[:, [0, 2]]] = True
+            ent[touched] = _unit_rows_whole(ent[touched])
+        table.epoch_losses.append(epoch_loss / (len(triples) * k))
+    return table
 
 
 def swap_triplets_tuples(g, g2, store):

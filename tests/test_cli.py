@@ -3,6 +3,7 @@
 import configparser
 import dataclasses
 import json
+import logging
 import re
 
 import numpy as np
@@ -117,6 +118,18 @@ class TestAlign:
         assert (tmp_path / "out" / "alignments.tsv").is_file()
         assert (tmp_path / "out" / "iterations.jsonl").is_file()
         assert (tmp_path / "out" / "report.json").is_file()
+
+    @pytest.mark.parametrize("max_iterations, level, word", [
+        (1, logging.WARNING, "truncated"), (10, logging.INFO, "converged")])
+    def test_truncated_run_logs_a_warning(self, dataset, tmp_path, caplog, capsys,
+                                          max_iterations, level, word):
+        cfg = config_for(dataset, tmp_path / "out", views="attr", max_iterations=max_iterations)
+        write_config(cfg, tmp_path / "c.ini")
+        with caplog.at_level(logging.INFO, logger="kgalign"):
+            assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 0
+        capsys.readouterr()
+        ends = [r for r in caplog.records if r.getMessage().startswith("pipeline ")]
+        assert [(r.levelno, word in r.getMessage()) for r in ends] == [(level, True)]
 
     def test_unsplit_ill_file_is_divided(self, dataset, tmp_path, capsys):
         cfg = config_for(dataset, tmp_path / "out")

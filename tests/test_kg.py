@@ -281,17 +281,27 @@ class TestValueInterning:
 
 
 FIELD_CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\r\n")
+# whitespace that the reader takes for a blank line, and the three characters
+# that would split a line or a field
+AWKWARD = st.sampled_from([" ", "\x0c", "\u3000", "\t", "\r", "\n"])
+
+
+def reads_back(row):
+    """Whether ``read_fields`` reads ``row`` back as it was written."""
+    line = "\t".join(row)
+    return line.strip() != "" and not any(c in field for field in row for c in "\t\r\n")
 
 
 @st.composite
 def tab_separated_rows(draw):
-    """``(count, literal, rows)``: rows of ``count`` fields without a tab, CR
-    or LF, each non-empty except the last under ``literal``.  A row that
-    would make a blank line is left out, since the reader skips blank lines."""
+    """``(count, literal, rows)``: rows of ``count`` fields, each non-empty
+    except the last under ``literal``.  Some fields are only whitespace, and
+    some hold a tab, CR or LF, so some rows would not read back."""
     count, literal = draw(st.integers(1, 4)), draw(st.booleans())
-    fields = [st.text(FIELD_CHARS, min_size=1, max_size=6)] * (count - 1)
-    fields.append(st.text(FIELD_CHARS, min_size=0 if literal else 1, max_size=6))
-    row = st.tuples(*fields).filter(lambda row: "\t".join(row).strip())
+    field = st.text(FIELD_CHARS | AWKWARD, min_size=1, max_size=6) | st.text(AWKWARD, min_size=1,
+                                                                            max_size=2)
+    last = field | st.just("") if literal else field
+    row = st.tuples(*[field] * (count - 1), last)
     return count, literal, draw(st.lists(row, max_size=6))
 
 
@@ -333,12 +343,33 @@ class TestFieldRules:
         with pytest.raises(ParseError, match=re.escape(f"{path}:2: field {field} is empty")):
             list(read_fields(path, 2))
 
+    @pytest.mark.parametrize("row, message", [
+        ((" ", " ", " "), "would be a blank line"), (("", ""), "would be a blank line"),
+        (("\t\t",), "would be a blank line"), (("a\tb", "c"), "has a field with a tab, CR or LF"),
+        (("a", "b\n"), "has a field with a tab, CR or LF"),
+        (("a", "\rb", ""), "has a field with a tab, CR or LF")])
+    def test_write_rows_refuses_a_row_that_would_not_read_back(self, tmp_path, row, message):
+        path = tmp_path / "rows"
+        with pytest.raises(ValueError, match=re.escape(f"row 1 {message}: {row!r}")):
+            write_rows(path, [("x", "y"), row, ("z", "w")])
+        assert path.read_text(encoding="utf-8") == "x\ty\n"
+
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(tab_separated_rows())
+    @example((2, False, [("a", "b"), (" ", "\x0c")]))
+    @example((3, True, [("a", "r", ""), ("\t", "b", "c")]))
+    @example((1, False, [("a\rb",)]))
+    @example((3, False, [(" ", " ", " ")]))
+    @example((2, True, [("\t", "")]))
     def test_written_rows_read_back(self, tmp_path, case):
         count, literal, rows = case
         path = tmp_path / "rows"
+        bad = [index for index, row in enumerate(rows) if not reads_back(row)]
+        if bad:
+            with pytest.raises(ValueError, match=rf"^row {bad[0]} "):
+                write_rows(path, rows)
+            return
         write_rows(path, rows)
         assert list(read_fields(path, count, literal)) == [(lineno, list(row))
                                                            for lineno, row in enumerate(rows, 1)]

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from hypothesis import example, given, settings, strategies as st
 from kgalign.kg import AlignmentStore, KnowledgeGraph, infer_entity_pairs
 from kgalign.relationship_model import (
     EmbeddingTable,
+    SwappedTriples,
     TrainConfig,
+    _batch_gradients,
     _is_positive,
     _triple_keys,
     entity_similarity_rel,
-    minibatch_loss_and_grad,
     relation_similarity,
     swap_triplets,
     train_transe,
@@ -22,7 +24,14 @@ from kgalign.relationship_model import (
 from kgalign.synth import SynthSpec, generate_synth
 from kgalign.kg import build_initial_seeds
 
-from oracles import swap_triplets_tuples, transe_energy
+from oracles import (
+    finite_difference,
+    minibatch_loss_and_grad,
+    spread_rows,
+    swap_triplets_tuples,
+    train_transe_dense,
+    transe_energy,
+)
 
 # triples over entities 0-4 and relations 0-2 of one graph, and id pairs
 TRIPLES = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 4)),
@@ -117,110 +126,79 @@ class TestEnergy:
         assert transe_energy(t, 0, 0, 1) == pytest.approx(expected, abs=1e-9)
 
 
-def oracle_loss(ent, rel, pos, neg, margin):
-    """Margin loss with each batch's deltas computed on their own."""
-    pos_norm = np.linalg.norm(ent[pos[:, 0]] + rel[pos[:, 1]] - ent[pos[:, 2]], axis=1)
-    neg_norm = np.linalg.norm(ent[neg[:, 0]] + rel[neg[:, 1]] - ent[neg[:, 2]], axis=1)
-    return float(np.maximum(0.0, margin + pos_norm - neg_norm).sum())
+def step(ent, rel, pos, neg, margin, k=1):
+    """The library's batch step as full tables: ``(loss, grad_ent, grad_rel)``,
+    after checking that it reports exactly the rows ``pos`` and ``neg`` touch."""
+    loss, ids, grad, grad_rel = _batch_gradients(ent, rel, pos, neg, k, margin)
+    np.testing.assert_array_equal(ids, np.unique(np.concatenate([pos[:, [0, 2]].ravel(),
+                                                                 neg[:, [0, 2]].ravel()])))
+    return loss, spread_rows(ids, grad, len(ent)), grad_rel
 
 
-def oracle_grad(ent, rel, pos, neg, margin):
-    """Gradient scattered with six ``np.add.at`` calls, one per role."""
-    pos_d = ent[pos[:, 0]] + rel[pos[:, 1]] - ent[pos[:, 2]]
-    neg_d = ent[neg[:, 0]] + rel[neg[:, 1]] - ent[neg[:, 2]]
-    pos_norm = np.linalg.norm(pos_d, axis=1)
-    neg_norm = np.linalg.norm(neg_d, axis=1)
-    violating = margin + pos_norm - neg_norm > 0.0
-    grad_ent = np.zeros_like(ent)
-    grad_rel = np.zeros_like(rel)
-    if not violating.any():
-        return grad_ent, grad_rel
-    pos_v = pos[violating]
-    neg_v = neg[violating]
-    unit_pos = pos_d[violating] / np.maximum(pos_norm[violating], 1e-12)[:, None]
-    unit_neg = neg_d[violating] / np.maximum(neg_norm[violating], 1e-12)[:, None]
-    np.add.at(grad_ent, pos_v[:, 0], unit_pos)
-    np.add.at(grad_ent, pos_v[:, 2], -unit_pos)
-    np.add.at(grad_rel, pos_v[:, 1], unit_pos)
-    np.add.at(grad_ent, neg_v[:, 0], -unit_neg)
-    np.add.at(grad_ent, neg_v[:, 2], unit_neg)
-    np.add.at(grad_rel, neg_v[:, 1], -unit_neg)
-    return grad_ent, grad_rel
-
-
-def finite_difference(ent, rel, pos, neg, margin, h=1e-5):
-    grads = []
-    for array in (ent, rel):
-        grad = np.zeros_like(array)
-        it = np.nditer(array, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            original = array[idx]
-            array[idx] = original + h
-            up = minibatch_loss_and_grad(ent, rel, pos, neg, margin)[0]
-            array[idx] = original - h
-            down = minibatch_loss_and_grad(ent, rel, pos, neg, margin)[0]
-            array[idx] = original
-            grad[idx] = (up - down) / (2 * h)
-            it.iternext()
-        grads.append(grad)
-    return grads
-
-
-def random_batch(rng, n_ent=12, n_rel=4, dim=6, rows=18):
+def random_batch(rng, n_ent=12, n_rel=4, dim=6, rows=18, k=1):
+    """Unit entity rows, relation rows, ``rows`` positives and k negatives per
+    positive, each its positive with the tail redrawn."""
     ent = rng.standard_normal((n_ent, dim))
     ent /= np.linalg.norm(ent, axis=1, keepdims=True)
     rel = rng.standard_normal((n_rel, dim)) * 0.5
     pos = np.column_stack([rng.integers(0, n_ent, rows), rng.integers(0, n_rel, rows),
                            rng.integers(0, n_ent, rows)])
-    neg = pos.copy()
-    neg[:, 2] = rng.integers(0, n_ent, rows)
+    neg = np.repeat(pos, k, axis=0)
+    neg[:, 2] = rng.integers(0, n_ent, rows * k)
     return ent, rel, pos, neg
 
 
 class TestGradient:
     def test_matches_central_differences(self):
         rng = np.random.default_rng(42)
-        for _ in range(10):
-            ent, rel, pos, neg = random_batch(rng)
-            # stay away from hinge and norm kinks so the loss is differentiable
-            margins = (1.0 + np.linalg.norm(ent[pos[:, 0]] + rel[pos[:, 1]] - ent[pos[:, 2]], axis=1)
-                       - np.linalg.norm(ent[neg[:, 0]] + rel[neg[:, 1]] - ent[neg[:, 2]], axis=1))
-            if np.abs(margins).min() < 1e-3:
-                continue
-            _, grad_ent, grad_rel = minibatch_loss_and_grad(ent, rel, pos, neg, 1.0)
-            fd_ent, fd_rel = finite_difference(ent, rel, pos, neg, 1.0)
-            np.testing.assert_allclose(grad_ent, fd_ent, rtol=1e-4, atol=1e-8)
-            np.testing.assert_allclose(grad_rel, fd_rel, rtol=1e-4, atol=1e-8)
+        for k in (1, 3):
+            for _ in range(10):
+                ent, rel, pos, neg = random_batch(rng, rows=18 // k, k=k)
+                pos_rep = np.repeat(pos, k, axis=0)
+                # stay away from hinge and norm kinks so the loss is differentiable
+                margins = (1.0
+                           + np.linalg.norm(ent[pos_rep[:, 0]] + rel[pos_rep[:, 1]]
+                                            - ent[pos_rep[:, 2]], axis=1)
+                           - np.linalg.norm(ent[neg[:, 0]] + rel[neg[:, 1]] - ent[neg[:, 2]],
+                                            axis=1))
+                if np.abs(margins).min() < 1e-3:
+                    continue
+                _, grad_ent, grad_rel = step(ent, rel, pos, neg, 1.0, k)
+                fd_ent, fd_rel = finite_difference(ent, rel, pos_rep, neg, 1.0)
+                np.testing.assert_allclose(grad_ent, fd_ent, rtol=1e-4, atol=1e-8)
+                np.testing.assert_allclose(grad_rel, fd_rel, rtol=1e-4, atol=1e-8)
 
     def test_no_violation_zero_gradient(self):
         ent = np.eye(4)
         rel = np.zeros((1, 4))
         pos = np.array([[0, 0, 0]])   # energy 0
         neg = np.array([[0, 0, 1]])   # energy sqrt(2) > margin 1
-        loss, grad_ent, grad_rel = minibatch_loss_and_grad(ent, rel, pos, neg, 1.0)
+        loss, grad_ent, grad_rel = step(ent, rel, pos, neg, 1.0)
         assert loss == 0.0
         assert not grad_ent.any()
         assert not grad_rel.any()
 
 
 class TestOracleParity:
-    """The fused kernel must reproduce the ``np.add.at`` oracle bit for bit."""
+    """The batch step must reproduce the dense ``np.add.at`` oracle bit for bit."""
 
-    def assert_matches_oracle(self, ent, rel, pos, neg, margin):
-        loss, grad_ent, grad_rel = minibatch_loss_and_grad(ent, rel, pos, neg, margin)
-        oracle_ent, oracle_rel = oracle_grad(ent, rel, pos, neg, margin)
-        assert loss == oracle_loss(ent, rel, pos, neg, margin)
-        np.testing.assert_array_equal(grad_ent, oracle_ent)
-        np.testing.assert_array_equal(grad_rel, oracle_rel)
+    def assert_matches_oracle(self, ent, rel, pos, neg, margin, k=1):
+        loss, grad_ent, grad_rel = step(ent, rel, pos, neg, margin, k)
+        oracle_loss, oracle_ent, oracle_rel = minibatch_loss_and_grad(
+            ent, rel, np.repeat(pos, k, axis=0), neg, margin)
+        assert loss == oracle_loss
+        np.testing.assert_array_equal(grad_ent.view(np.int64), oracle_ent.view(np.int64))
+        np.testing.assert_array_equal(grad_rel.view(np.int64), oracle_rel.view(np.int64))
 
     def test_heavily_repeated_ids(self):
         rng = np.random.default_rng(5)
-        for n_ent, n_rel, rows in ((3, 1, 400), (5, 2, 1280), (40, 3, 1280), (400, 16, 1280)):
-            ent, rel, pos, neg = random_batch(rng, n_ent=n_ent, n_rel=n_rel, dim=48, rows=rows)
-            neg[: rows // 2, 0] = rng.integers(0, n_ent, rows // 2)
-            for margin in (0.1, 1.0):
-                self.assert_matches_oracle(ent, rel, pos, neg, margin)
+        for k in (1, 5):
+            for n_ent, n_rel, rows in ((3, 1, 400), (5, 2, 1280), (40, 3, 1280), (400, 16, 1280)):
+                ent, rel, pos, neg = random_batch(rng, n_ent=n_ent, n_rel=n_rel, dim=48,
+                                                  rows=rows // k, k=k)
+                neg[: rows // 2, 0] = rng.integers(0, n_ent, rows // 2)
+                for margin in (0.1, 1.0):
+                    self.assert_matches_oracle(ent, rel, pos, neg, margin, k)
 
     def test_partial_violations(self):
         rng = np.random.default_rng(6)
@@ -234,6 +212,19 @@ class TestOracleParity:
         pos = np.array([[0, 0, 0], [1, 1, 1], [0, 0, 0]])
         neg = np.array([[0, 0, 1], [1, 1, 2], [3, 0, 0]])
         self.assert_matches_oracle(ent, rel, pos, neg, 1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_ent=st.integers(1, 300), dim=st.integers(1, 6),
+           rows=st.integers(1, 20), k=st.sampled_from([1, 2, 5]),
+           margin=st.sampled_from([-100.0, 1e-3, 1.0, 100.0]))
+    def test_random_batches(self, seed, n_ent, dim, rows, k, margin):
+        # margin -100 leaves every row inside the margin, and 100 makes every row violate it
+        rng = np.random.default_rng(seed)
+        ent, rel, pos, neg = random_batch(rng, n_ent=n_ent, n_rel=3, dim=dim, rows=rows, k=k)
+        heads = rng.random(len(neg)) < 0.5
+        neg[heads, 0] = rng.integers(0, n_ent, int(heads.sum()))
+        neg[heads, 2] = np.repeat(pos, k, axis=0)[heads, 2]
+        self.assert_matches_oracle(ent, rel, pos, neg, margin, k)
 
 
 class TestPositiveMembership:
@@ -353,6 +344,68 @@ class TestTraining:
         for m, n in seeds.ent_pairs:
             mask[m, n] = False
         assert np.mean(seeded) > scores[mask].mean()
+
+
+def assert_same_training(table, oracle):
+    np.testing.assert_array_equal(table.ent.view(np.int64), oracle.ent.view(np.int64))
+    np.testing.assert_array_equal(table.rel.view(np.int64), oracle.rel.view(np.int64))
+    assert table.epoch_losses == oracle.epoch_losses
+    assert table.capped_negatives == oracle.capped_negatives
+
+
+class TestDenseParity:
+    """Training equals a loop of dense full-table steps bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_left=st.integers(100, 200), n_right=st.integers(100, 200),
+           rows=st.lists(st.tuples(st.integers(0, 399), st.integers(0, 2), st.integers(0, 399)),
+                         min_size=1, max_size=30),
+           dim=st.integers(1, 6), k=st.sampled_from([1, 2, 5]), batch_size=st.integers(1, 16),
+           margin=st.sampled_from([1e-9, 0.5, 100.0]), learning_rate=st.sampled_from([0.01, 0.3]),
+           epochs=st.integers(1, 3), rng_seed=st.integers(0, 1000))
+    # 7 triples in batches of 3, where every copy violates the margin 100
+    @example(n_left=100, n_right=100, rows=[(i, 0, 199 - i) for i in range(7)], dim=4, k=5,
+             batch_size=3, margin=100.0, learning_rate=0.01, epochs=2, rng_seed=0)
+    # one triple a batch and a margin near 0: many batches have no violation at all
+    @example(n_left=150, n_right=120, rows=[(i, i % 3, 200 + i) for i in range(9)], dim=3, k=1,
+             batch_size=1, margin=1e-9, learning_rate=0.3, epochs=3, rng_seed=1)
+    def test_matches_full_table_steps(self, n_left, n_right, rows, dim, k, batch_size, margin,
+                                      learning_rate, epochs, rng_seed):
+        triples = np.unique(np.array(rows, dtype=np.int64) % [n_left + n_right, 3, n_left + n_right],
+                            axis=0)
+        swapped = SwappedTriples(triples, n_left + n_right, 3, n_left, 1)
+        cfg = TrainConfig(dim=dim, margin=margin, learning_rate=learning_rate, epochs=epochs,
+                          negatives_per_positive=k, batch_size=batch_size, rng_seed=rng_seed)
+        assert_same_training(train_transe(swapped, cfg), train_transe_dense(swapped, cfg))
+
+    def test_capped_negatives_match(self):
+        left = KnowledgeGraph([(h, "r", t) for h in "ab" for t in "ab"], [])
+        right = KnowledgeGraph([("x", "s", "y")], [])
+        swapped = swap_triplets(left, right, AlignmentStore())
+        cfg = TrainConfig(dim=4, epochs=3, negatives_per_positive=2, batch_size=2, rng_seed=5)
+        table = train_transe(swapped, cfg)
+        assert table.capped_negatives > 0
+        assert_same_training(table, train_transe_dense(swapped, cfg))
+
+    def test_peak_memory_below_one_table(self):
+        # 50k entities and 300 triples: a batch touches a few hundred rows, so
+        # no step may allocate anything the size of the entity table
+        rng = np.random.default_rng(0)
+        n_entities, m = 50_000, 300
+        triples = np.unique(np.column_stack([rng.integers(0, n_entities, m), rng.integers(0, 3, m),
+                                             rng.integers(0, n_entities, m)]), axis=0)
+        swapped = SwappedTriples(triples, n_entities, 3, n_entities // 2, 1)
+        cfg = TrainConfig(dim=32, epochs=2, batch_size=128, rng_seed=0)
+        tracemalloc.start()
+        try:
+            table = train_transe(swapped, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one_table = n_entities * cfg.dim * 8
+        assert peak - table.ent.nbytes - table.rel.nbytes < one_table
+        # the same rows over more than one 4096-row normalization block
+        assert_same_training(table, train_transe_dense(swapped, cfg))
 
 
 class TestSimilarity:
