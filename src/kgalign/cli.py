@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .attribute_model import read_similarity_dump, write_similarity_dump
-from .kg import PROV_MERGED, ParseError, build_initial_seeds, load_graph, read_fields
+from .kg import PROV_MERGED, ParseError, build_initial_seeds, load_graph, read_fields, read_lines
 from .metrics import SimilarityMatrix, check_ks, evaluate, split_ills
 from .pipeline import (
     MERGE_MODES,
@@ -38,6 +38,20 @@ LOG = logging.getLogger("kgalign")
 
 class ConfigError(ValueError):
     pass
+
+
+def _ini_error(path, exc: configparser.Error) -> str:
+    """``path:line: reason`` for a config file that configparser refused."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"{path}:{exc.lineno}: a key before any [section] header"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"{path}:{exc.lineno}: section [{exc.section}] is repeated"
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"{path}:{exc.lineno}: key {exc.option!r} is repeated in [{exc.section}]"
+    if isinstance(exc, configparser.ParsingError):
+        lineno, line = exc.errors[0]
+        return f"{path}:{lineno}: cannot parse {line}"
+    return f"{path}: {exc}"
 
 
 def _key(section: str, default):
@@ -85,8 +99,14 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
         parser = configparser.ConfigParser()
-        if not parser.read(path, encoding="utf-8"):
-            raise ConfigError(f"cannot read config file {path}")
+        try:
+            parser.read_string("\n".join(line for _, line in read_lines(path)), source=str(path))
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+        except ParseError as exc:  # a line that is not UTF-8
+            raise ConfigError(str(exc)) from exc
+        except configparser.Error as exc:
+            raise ConfigError(_ini_error(path, exc)) from exc
         if parser.defaults():
             raise ConfigError(f"{path}: unknown section [{parser.default_section}]")
         sections: dict[str, dict[str, str]] = {}
@@ -100,10 +120,10 @@ class PipelineConfig:
             for name in parser.options(section):
                 if name not in types:
                     raise ConfigError(f"{path}: unknown key {name!r} in [{section}]")
-                raw = parser.get(section, name)
                 try:
-                    setattr(cfg, name, _parse_value(types[name], raw))
-                except ValueError as exc:
+                    setattr(cfg, name, _parse_value(types[name], parser.get(section, name)))
+                except (ValueError, configparser.InterpolationError) as exc:
+                    raw = parser.get(section, name, raw=True)
                     raise ConfigError(f"{path}: cannot parse {name}={raw!r}") from exc
         return cfg
 
@@ -303,11 +323,14 @@ def cmd_gen(args) -> int:
 def cmd_eval(args) -> int:
     try:
         scores = read_similarity_dump(args.matrix)
+        lines = list(read_fields(args.test, 2))
+    except OSError as exc:  # a directory or an unreadable file: a usage error
+        raise ConfigError(f"{exc.filename}: {exc.strerror}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     n, n2 = scores.shape
     pairs = []
-    for lineno, (left, right) in read_fields(args.test, 2):
+    for lineno, (left, right) in lines:
         try:
             row, col = int(left), int(right)
         except ValueError:

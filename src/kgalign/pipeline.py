@@ -20,7 +20,6 @@ import numpy as np
 
 from .attribute_model import (
     AttributeInference,
-    ValueEmbeddingMatrix,
     build_attr_slot_matrix,
     build_value_matrix,
     entity_similarity_attr,
@@ -47,7 +46,7 @@ from .relationship_model import (
     swap_triplets,
     train_transe,
 )
-from .translator import TranslationTable, WordVectorProvider, train_translation
+from .translator import WordVectorProvider, train_translation
 
 LOG = logging.getLogger(__name__)
 
@@ -257,6 +256,76 @@ def check_thresholds(settings: PipelineSettings, valid_pairs) -> bool:
     return False
 
 
+class _AttributeState:
+    """What the attribute view keeps between rounds: the word vectors, the
+    translation table, and the value matrices (the left one changes only with
+    the table, the right one never)."""
+
+    def __init__(self, value_dim: int):
+        self.provider = WordVectorProvider(value_dim)
+        self.table = self.values_left = self.values_right = None
+
+
+def _attribute_round(record, state, g, g2, store, settings, threshold):
+    """One attribute-view round: the translator when due, grouped-interaction
+    scores and new pairs; fills ``record``'s timings, ``tau_e_attr`` and ``translator``."""
+    tick = time.perf_counter()
+    retrain = settings.retrain_translator or state.table is None
+    if retrain:
+        train_pairs = sorted(store.val_pairs, key=lambda p: (p[0].raw, p[1].raw))
+        try:
+            state.table = train_translation(train_pairs, settings.em_iterations)
+        except ValueError as exc:
+            LOG.warning("translator not trained (%s); embedding raw values", exc)
+            state.table = None
+        else:
+            record.translator = {"pairs": len(train_pairs),
+                                 "ll_first": state.table.log_likelihoods[0],
+                                 "ll_last": state.table.log_likelihoods[-1]}
+    record.timings["translator"] = time.perf_counter() - tick
+
+    tick = time.perf_counter()
+    if retrain:
+        state.values_left = None  # released before its rebuild, as the score matrices are
+        state.values_left = build_value_matrix(g, state.table, state.provider, settings.m_slots,
+                                               frequent_attributes(g, settings.min_count))
+    if state.values_right is None:
+        state.values_right = build_value_matrix(g2, None, state.provider, settings.m_slots,
+                                                frequent_attributes(g2, settings.min_count))
+    # A left slot meets the right slots of the attribute it is aligned to.
+    slots_left = build_attr_slot_matrix(state.values_left, store.attr_map())
+    s_attr = entity_similarity_attr(state.values_left, state.values_right, slots_left,
+                                    state.values_right.attrs, workers=settings.workers)
+    record.timings["attribute_scores"] = time.perf_counter() - tick
+
+    tick = time.perf_counter()
+    tau = record.thresholds["tau_e_attr"] = threshold(s_attr, settings.thresholds.tau_e_attr)
+    inference = infer_from_attribute_view(s_attr, store, tau, settings.thresholds.tau_v,
+                                          g, g2, state.values_left, state.values_right)
+    record.timings["attribute_inference"] = time.perf_counter() - tick
+    return s_attr, inference
+
+
+def _relationship_round(record, g, g2, store, settings, threshold, taken_left, taken_right):
+    """One relationship-view round: TransE, reseeded per iteration, then entity
+    pairs outside the taken ids and relation pairs; fills ``record`` likewise."""
+    tick = time.perf_counter()
+    swapped = swap_triplets(g, g2, store)
+    embeddings = train_transe(swapped, dataclasses.replace(
+        settings.transe, rng_seed=settings.transe.rng_seed + record.iteration))
+    record.transe = embeddings.training_summary()
+    s_rel = entity_similarity_rel(embeddings, g, g2)
+    rel_scores = relation_similarity(embeddings)
+    record.timings["relationship_training"] = time.perf_counter() - tick
+
+    tick = time.perf_counter()
+    tau = record.thresholds["tau_e_rel"] = threshold(s_rel, settings.thresholds.tau_e_rel)
+    proposals = infer_entity_pairs(s_rel, tau, taken_left, taken_right)
+    rel_pairs = infer_entity_pairs(rel_scores, settings.thresholds.tau_r, *store.taken("rel"))
+    record.timings["relationship_inference"] = time.perf_counter() - tick
+    return s_rel, proposals, rel_pairs, embeddings
+
+
 @_without_cyclic_gc
 def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
                  settings: PipelineSettings | None = None, merge_mode: str = "M3",
@@ -267,11 +336,10 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
     view that is off proposes nothing.  ``seeds`` is copied, never mutated.
     ``valid_pairs`` are (left id, right id) entity pairs used only for
     threshold sweeps; ``check_thresholds`` runs before the first round.
-    Structure training reseeds per iteration from the configured seed so
-    reruns are reproducible end to end.  The cyclic garbage collector is
-    paused during the call and restored afterwards: the rounds allocate
-    and drop many objects but make no reference cycles, and the graphs'
-    row tuples would otherwise be walked again on every full pass.
+    The cyclic garbage collector is paused during the call and restored
+    afterwards: the rounds allocate and drop many objects but make no
+    reference cycles, and the graphs' row tuples would otherwise be walked
+    again on every full pass.
     """
     if merge_mode not in MERGE_MODES:
         raise ValueError(f"merge_mode must be one of {MERGE_MODES}, got {merge_mode!r}")
@@ -279,96 +347,34 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     settings = settings or PipelineSettings()
     sweep = check_thresholds(settings, valid_pairs)
+
+    def threshold(scores, fixed):
+        return tune_thresholds(valid_pairs, scores) if sweep else fixed
+
     store = seeds.copy()
-    frequent_left = frequent_attributes(g, settings.min_count)
-    frequent_right = frequent_attributes(g2, settings.min_count)
-    provider = WordVectorProvider(settings.value_dim)
     use_attr = settings.views in ("both", "attr")
     use_rel = settings.views in ("both", "rel")
     mode = merge_mode if use_attr and use_rel else "M1"
-
-    table: TranslationTable | None = None
-    values_left: ValueEmbeddingMatrix | None = None
-    values_right: ValueEmbeddingMatrix | None = None
+    attr_state = _AttributeState(settings.value_dim) if use_attr else None
     records: list[IterationRecord] = []
-    converged = False
 
     for iteration in range(1, max_iterations + 1):
         # Every round rebuilds these; dropping the last round's first keeps one
         # score matrix per view alive instead of two.
         s_attr = s_rel = embeddings = None
+        record = IterationRecord(iteration, {}, {}, {}, 0, 0)
+        records.append(record)
         taken_left, taken_right = store.taken("ent")
-        timings: dict[str, float] = {}
-        used: dict[str, float] = {}
         attr_inf = AttributeInference([], [], set())
-        rel_list: list = []
-        new_rel_pairs: list = []
-        transe_summary: dict = {}
-        translator_summary: dict = {}
-
+        rel_list = rel_pairs = []
         if use_attr:
-            tick = time.perf_counter()
-            # The left values change only with the translator, the right never.
-            retrain = settings.retrain_translator or table is None
-            if retrain:
-                train_pairs = sorted(store.val_pairs, key=lambda p: (p[0].raw, p[1].raw))
-                try:
-                    table = train_translation(train_pairs, settings.em_iterations)
-                except ValueError as exc:
-                    LOG.warning("translator not trained (%s); embedding raw values", exc)
-                    table = None
-                else:
-                    translator_summary = {"pairs": len(train_pairs),
-                                          "ll_first": table.log_likelihoods[0],
-                                          "ll_last": table.log_likelihoods[-1]}
-            timings["translator"] = time.perf_counter() - tick
-
-            tick = time.perf_counter()
-            if retrain:
-                values_left = None  # likewise released before its rebuild
-                values_left = build_value_matrix(g, table, provider, settings.m_slots,
-                                                 frequent_left)
-            if values_right is None:
-                values_right = build_value_matrix(g2, None, provider, settings.m_slots,
-                                                  frequent_right)
-            # A left slot meets the right slots of the attribute it is aligned to.
-            slots_left = build_attr_slot_matrix(values_left, store.attr_map())
-            s_attr = entity_similarity_attr(values_left, values_right, slots_left,
-                                            values_right.attrs, workers=settings.workers)
-            timings["attribute_scores"] = time.perf_counter() - tick
-
-            tick = time.perf_counter()
-            tau_attr = (tune_thresholds(valid_pairs, s_attr) if sweep
-                        else settings.thresholds.tau_e_attr)
-            used["tau_e_attr"] = tau_attr
-            attr_inf = infer_from_attribute_view(s_attr, store, tau_attr,
-                                                 settings.thresholds.tau_v,
-                                                 g, g2, values_left, values_right)
-            timings["attribute_inference"] = time.perf_counter() - tick
-
+            s_attr, attr_inf = _attribute_round(record, attr_state, g, g2, store, settings,
+                                                threshold)
         if use_rel:
-            tick = time.perf_counter()
-            swapped = swap_triplets(g, g2, store)
-            transe_cfg = dataclasses.replace(settings.transe,
-                                             rng_seed=settings.transe.rng_seed + iteration)
-            embeddings = train_transe(swapped, transe_cfg)
-            transe_summary = embeddings.training_summary()
-            s_rel = entity_similarity_rel(embeddings, g, g2)
-            rel_scores = relation_similarity(embeddings)
-            timings["relationship_training"] = time.perf_counter() - tick
-
-            tick = time.perf_counter()
-            tau_rel = (tune_thresholds(valid_pairs, s_rel) if sweep
-                       else settings.thresholds.tau_e_rel)
-            used["tau_e_rel"] = tau_rel
-            rel_taken = (taken_left, taken_right)
-            if mode == "M1":  # the attribute view's proposals count as taken
-                rel_taken = (taken_left | {m for m, _, _ in attr_inf.entities},
-                             taken_right | {n for _, n, _ in attr_inf.entities})
-            rel_list = infer_entity_pairs(s_rel, tau_rel, *rel_taken)
-            new_rel_pairs = infer_entity_pairs(rel_scores, settings.thresholds.tau_r,
-                                               *store.taken("rel"))
-            timings["relationship_inference"] = time.perf_counter() - tick
+            claimed = attr_inf.entities if mode == "M1" else []  # M1: these count as taken
+            s_rel, rel_list, rel_pairs, embeddings = _relationship_round(
+                record, g, g2, store, settings, threshold,
+                taken_left | {m for m, _, _ in claimed}, taken_right | {n for _, n, _ in claimed})
 
         tick = time.perf_counter()
         if mode == "M1":
@@ -377,33 +383,27 @@ def run_pipeline(g: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentStore,
             entries = merge_score(attr_inf.entities, rel_list, s_attr, s_rel)
         else:
             entries = merge_rank(attr_inf.entities, rel_list)
-        timings["merge"] = time.perf_counter() - tick
+        record.timings["merge"] = time.perf_counter() - tick
 
-        overlap = sum(m in taken_left or n in taken_right for m, n, _ in entries)
-        new_ent = sum(store.add("ent", m, n, provenance) for m, n, provenance in entries)
-        new_attr = sum(store.add("attr", a, b, PROV_ATTR) for a, b, _ in attr_inf.attribute_pairs)
-        new_rel = sum(store.add("rel", a, b, PROV_REL) for a, b, _ in new_rel_pairs)
-        new_val = sum(store.add_val_pair(v, w, PROV_ATTR)
-                      for v, w in sorted(attr_inf.value_pairs,
-                                         key=lambda p: (p[0].raw, p[1].raw)))
-
-        counts = {
+        record.candidate_overlap = sum(m in taken_left or n in taken_right for m, n, _ in entries)
+        record.counts = {
             "new_ent_attr": len(attr_inf.entities),
             "new_ent_rel": len(rel_list),
-            "merged": new_ent,
-            "new_attr": int(new_attr),
-            "new_rel": int(new_rel),
-            "new_val": int(new_val),
+            "merged": sum(store.add("ent", m, n, provenance) for m, n, provenance in entries),
+            "new_attr": sum(store.add("attr", a, b, PROV_ATTR)
+                            for a, b, _ in attr_inf.attribute_pairs),
+            "new_rel": sum(store.add("rel", a, b, PROV_REL) for a, b, _ in rel_pairs),
+            "new_val": sum(store.add_val_pair(v, w, PROV_ATTR)
+                           for v, w in sorted(attr_inf.value_pairs,
+                                              key=lambda p: (p[0].raw, p[1].raw))),
         }
-        records.append(IterationRecord(iteration, counts, used, timings, store.size(), overlap,
-                                       transe_summary, translator_summary))
-        LOG.info("iteration %d: %s", iteration, counts)
-
-        if new_ent + new_attr + new_rel + new_val == 0:
-            converged = True
+        record.store_size = store.size()
+        LOG.info("iteration %d: %s", iteration, record.counts)
+        added = sum(record.counts[k] for k in ("merged", "new_attr", "new_rel", "new_val"))
+        if not added:
             break
 
-    return PipelineResult(store, records, converged,
+    return PipelineResult(store, records, not added,
                           SimilarityMatrix(s_attr, PROV_ATTR) if use_attr else None,
                           SimilarityMatrix(s_rel, PROV_REL) if use_rel else None, embeddings)
 

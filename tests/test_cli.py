@@ -473,6 +473,18 @@ class TestEval:
         assert capsys.readouterr().out == ""
         assert "ks must be one or more integers >= 1" in caplog.text
 
+    @pytest.mark.parametrize("which", [0, 1], ids=["matrix", "test"])
+    def test_directory_input_exit_two(self, tmp_path, capsys, caplog, which):
+        paths = [tmp_path / "s.bin", tmp_path / "t.tsv"]
+        write_similarity_dump(np.eye(2), paths[0])
+        paths[1].write_text("0\t0\n")
+        paths[which] = tmp_path / "dir"
+        paths[which].mkdir()
+        assert cli.main(["eval", "--matrix", str(paths[0]), "--test", str(paths[1])]) == 2
+        assert capsys.readouterr().out == ""
+        assert f"{paths[which]}: Is a directory" in caplog.text
+        assert "runtime failure" not in caplog.text
+
     def test_bad_dump_exit_two(self, tmp_path):
         (tmp_path / "s.bin").write_bytes(b"\x00\x01")
         (tmp_path / "t.tsv").write_text("0\t0\n")
@@ -520,3 +532,22 @@ class TestConfig:
             cli.PipelineConfig.from_file(path)
         assert cli.main(["align", "--config", str(path)]) == 2
         assert f"{path}: {message}" in caplog.text
+
+    @pytest.mark.parametrize("data, message", [
+        (b"[model]\ntau_v = 0.1\ntau_v = 0.2\n", ":3: key 'tau_v' is repeated in [model]"),
+        (b"[model]\ntau_v = 0.1\n[model]\n", ":3: section [model] is repeated"),
+        (b"tau_v = 0.1\n[model]\n", ":1: a key before any [section] header"),
+        (b"[model]\ntau_v = 0.1\xff\n", ":2: not valid UTF-8"),
+        (b"[model]\ntau_v = 0.1%\n", ": cannot parse tau_v='0.1%'"),
+    ], ids=["repeated_key", "repeated_section", "key_before_section", "byte_0xff",
+            "bare_percent"])
+    def test_malformed_file_exit_two_with_location(self, tmp_path, caplog, data, message):
+        path = tmp_path / "c.ini"
+        path.write_bytes(data)
+        with pytest.raises(cli.ConfigError, match=re.escape(message)):
+            cli.PipelineConfig.from_file(path)
+        out = tmp_path / "out"
+        assert cli.main(["align", "--config", str(path), "--out", str(out)]) == 2
+        assert f"{path}{message}" in caplog.text
+        assert "runtime failure" not in caplog.text
+        assert not out.exists()

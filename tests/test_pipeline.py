@@ -2,10 +2,12 @@
 
 import gc
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -28,6 +30,7 @@ from kgalign.kg import (
 )
 from kgalign import pipeline
 from kgalign.pipeline import (
+    MERGE_MODES,
     PipelineSettings,
     Thresholds,
     merge_rank,
@@ -699,6 +702,61 @@ def test_result_labels_each_view(joint_fixture, tmp_path):
     result, _ = joint_run(joint_fixture, "both", "M3", tmp_path / "a.tsv")
     assert result.s_attr.source == "attribute-view"
     assert result.s_rel.source == "relationship-view"
+
+
+ATTR_TIMINGS = {"translator", "attribute_scores", "attribute_inference"}
+REL_TIMINGS = {"relationship_training", "relationship_inference"}
+
+
+@pytest.mark.parametrize("views, timings, thresholds", [
+    ("attr", ATTR_TIMINGS | {"merge"}, {"tau_e_attr"}),
+    ("rel", REL_TIMINGS | {"merge"}, {"tau_e_rel"}),
+    ("both", ATTR_TIMINGS | REL_TIMINGS | {"merge"}, {"tau_e_attr", "tau_e_rel"}),
+])
+def test_record_keys_follow_the_views(views, timings, thresholds):
+    # iterations.jsonl carries one timing per stage and one threshold per view
+    # that ran, and nothing for a view that is off.
+    g, g2 = identical_graphs()
+    seeds = build_initial_seeds(g, g2, [("e0", "f0")])
+    result = run_pipeline(g, g2, seeds, settings_for_tests(views=views), max_iterations=2)
+    assert result.records
+    for record in result.records:
+        assert set(record.timings) == timings
+        assert set(record.thresholds) == thresholds
+
+
+def test_tracer_targets_are_called_through_module_globals(joint_fixture, monkeypatch):
+    # The benchmark's tracer times a layer by replacing the module attribute
+    # its caller looks up at call time; a callee captured any other way would
+    # escape it and read as zero time.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("kgalign_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    calls = {}
+
+    def counting(key, func):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+        return counted
+
+    for target in tracing.TARGETS:
+        if target.lookup in ("kgalign.pipeline", "kgalign.attribute_model"):
+            module = importlib.import_module(target.lookup)
+            calls[target.lookup, target.attr] = 0
+            monkeypatch.setattr(module, target.attr, counting((target.lookup, target.attr),
+                                                              getattr(module, target.attr)))
+    g, g2, seeds, valid = joint_fixture
+    settings = PipelineSettings(m_slots=10, min_count=5, value_dim=50,
+                                transe=TrainConfig(dim=24, epochs=10, rng_seed=3),
+                                thresholds=Thresholds(tuning="validation-sweep"))
+    for merge_mode in MERGE_MODES:
+        pipeline.run_pipeline(g, g2, seeds, settings, merge_mode=merge_mode, max_iterations=1,
+                              valid_pairs=valid)
+    assert {lookup for lookup, _ in calls} == {"kgalign.pipeline", "kgalign.attribute_model"}
+    assert [key for key, count in calls.items() if count == 0] == []
 
 
 def test_previous_round_products_released(joint_fixture, tmp_path, monkeypatch):
