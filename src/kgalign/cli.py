@@ -152,6 +152,10 @@ class PipelineConfig:
             raise ConfigError(f"merge_mode must be one of {MERGE_MODES}")
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        out = Path(self.out_dir)
+        existing = next(path for path in (out, *out.parents) if path.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"out_dir {out}: {existing} exists and is not a directory")
         try:
             check_ks(self.eval_ks)
         except ValueError as exc:

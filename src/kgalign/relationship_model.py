@@ -12,7 +12,9 @@ positives' deltas, which are taken once and not once per negative, and
 O(B · k · dim) for the negatives'.  Its entity update costs O(touched rows ·
 dim): only the rows the batch's heads and tails name are gathered, updated
 and normalized again, found by one pass over a boolean mask of all entities.
-The relation gradient covers the whole relation table.
+The relation gradient covers the whole relation table.  Each gradient column
+is one ``np.bincount`` in input order over the violating copies' unit vectors;
+a step holds those and the negatives' deltas, and copies neither.
 """
 
 from __future__ import annotations
@@ -121,21 +123,10 @@ def _norms(d: np.ndarray) -> np.ndarray:
 
 
 def _deltas(ent, rel, triples):
-    d = ent[triples[:, 0]] + rel[triples[:, 1]] - ent[triples[:, 2]]
+    d = ent[triples[:, 0]]
+    d += rel[triples[:, 1]]
+    d -= ent[triples[:, 2]]
     return d, _norms(d)
-
-
-def _scatter_rows(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
-    """Sum ``values[i]`` into row ``rows[i]`` of an ``(n_rows, dim)`` zero table.
-
-    One ``np.bincount`` per column: each cell adds its contributions to 0.0
-    in input order, which keeps the sums bitwise-equal to the unbuffered
-    scatter the tests use as their oracle.
-    """
-    out = np.empty((n_rows, values.shape[1]))
-    for column in range(values.shape[1]):
-        out[:, column] = np.bincount(rows, weights=values[:, column], minlength=n_rows)
-    return out
 
 
 def _batch_gradients(ent: np.ndarray, rel: np.ndarray, pos: np.ndarray, neg: np.ndarray,
@@ -147,10 +138,11 @@ def _batch_gradients(ent: np.ndarray, rel: np.ndarray, pos: np.ndarray, neg: np.
     ``pos`` and ``neg``), and ``grad_ids[j]`` is the gradient of row
     ``ids[j]``; every other entity row's gradient is zero.  ``grad_rel``
     covers the whole relation table.  Each positive's delta, norm and unit
-    vector is computed once for its k negatives.  Each gradient cell
-    accumulates in a fixed order: positive heads, positive tails, negative
-    heads, then negative tails for entities, and positive then negative
-    relations.
+    vector is computed once for its k negatives.  Both gradients are filled
+    one column at a time by one ``np.bincount`` each, so every cell adds its
+    contributions to 0.0 in input order (positive heads, positive tails,
+    negative heads, then negative tails for entities; positive then negative
+    relations): bit for bit the unbuffered scatter the tests use as oracle.
     """
     pos_d, pos_norm = _deltas(ent, rel, pos)
     neg_d, neg_norm = _deltas(ent, rel, neg)
@@ -177,8 +169,11 @@ def _batch_gradients(ent: np.ndarray, rel: np.ndarray, pos: np.ndarray, neg: np.
     compact[ids] = np.arange(len(ids))
     ent_rows = compact[np.concatenate([pos_v[:, 0], pos_v[:, 2], neg_v[:, 0], neg_v[:, 2]])]
     rel_rows = np.concatenate([pos_v[:, 1], neg_v[:, 1]])
-    grad_ids = _scatter_rows(ent_rows, units.reshape(-1, dim), len(ids))
-    grad_rel = _scatter_rows(rel_rows, units[0::2].reshape(-1, dim), len(rel))
+    grad_ids, grad_rel = np.empty((len(ids), dim)), np.empty((len(rel), dim))
+    for c in range(dim):
+        grad_ids[:, c] = np.bincount(ent_rows, weights=units[:, :, c].ravel(), minlength=len(ids))
+        grad_rel[:, c] = np.bincount(rel_rows, weights=units[0::2, :, c].ravel(),
+                                     minlength=len(rel))
     return loss, ids, grad_ids, grad_rel
 
 

@@ -255,6 +255,29 @@ class TestAlign:
         assert cli.main(["align", "--config", str(tmp_path / "c.ini"), "--seed", "-3"]) == 2
         assert "rng_seed must be >= 0" in caplog.text
 
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_under_an_existing_file_exits_two_before_loading(self, dataset, tmp_path, caplog,
+                                                                 monkeypatch, out):
+        def fail(*args, **kwargs):
+            raise AssertionError("load_graph called")
+
+        monkeypatch.setattr(cli, "load_graph", fail)
+        (tmp_path / "taken").write_text("kept")
+        cfg = config_for(dataset, tmp_path / out)
+        write_config(cfg, tmp_path / "c.ini")
+        assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
+        assert (f"out_dir {tmp_path / out}: {tmp_path / 'taken'} exists and is not a directory"
+                in caplog.text)
+        assert (tmp_path / "taken").read_text() == "kept"
+
+    def test_out_may_be_an_existing_directory(self, dataset, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        cfg = config_for(dataset, tmp_path / "out", views="attr", max_iterations=1)
+        write_config(cfg, tmp_path / "c.ini")
+        assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "out" / "report.json").is_file()
+
     def test_zero_threads_exit_two(self, dataset, tmp_path, caplog):
         cfg = config_for(dataset, tmp_path / "out")
         write_config(cfg, tmp_path / "c.ini")

@@ -4,11 +4,13 @@ merely wraps one field, no public method only forwards to another with a
 constant filled in, the view and metric modules import only the graph
 and translator layers, only the pause helper in ``kg`` switches the garbage
 collector, only ``kg`` holds the tab that separates the fields of a row, no
-line is longer than 99 columns, and the README's config and library examples
-name only what the package has."""
+line is longer than 99 columns, the package imports nothing beyond the
+standard library and its declared dependency numpy, and the README's config
+and library examples name only what the package has."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -198,6 +200,39 @@ def test_detects_package_imports():
     source = ("import numpy\nimport kgalign.cli\nfrom . import metrics\nfrom .kg import A\n"
               "from kgalign.pipeline import B\nfrom kgalign import synth\n")
     assert package_imports(source) == {"cli", "metrics", "kg", "pipeline", "synth"}
+
+
+def third_party_imports(source):
+    """Top-level names of the modules ``source`` imports, at module or function
+    level, that are neither in the standard library nor the package itself."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"kgalign"}
+
+
+def test_declares_numpy_only():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert [re.match(r"[\w.-]+", d)[0] for d in project["project"]["dependencies"]] == ["numpy"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_numpy_and_the_standard_library(path):
+    # A dependency is a cost every run pays: in the benchmark's process,
+    # ``import scipy.sparse`` alone loads about 300 modules and adds 13-16 MB
+    # of resident memory, more than joint-n200-m3's peak_rss_mb bound allows.
+    assert third_party_imports(path.read_text(encoding="utf-8")) <= {"numpy"}
+
+
+def test_detects_third_party_imports():
+    source = ("import os.path\nimport numpy as np\nfrom kgalign import kg\nfrom . import cli\n"
+              "from .kg import A\ndef f():\n    import scipy.sparse\n"
+              "    from sklearn.cluster import KMeans\n")
+    assert third_party_imports(source) == {"numpy", "scipy", "sklearn"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -227,6 +227,27 @@ class TestOracleParity:
         self.assert_matches_oracle(ent, rel, pos, neg, margin, k)
 
 
+class TestStepMemory:
+    def test_peak_of_one_step_with_every_negative_violating(self):
+        # The bench shape: 400 entities, B=256 positives, k=5, dim=48.  With a
+        # margin above every negative's largest possible energy each of the
+        # B·k negatives contributes, so the step holds its most: the k·B·dim
+        # deltas, the 4·k·B·dim unit blocks, one column's bincount weights
+        # and the gradients read 6.8 of the unit below, and a copy of the
+        # relation contributions (2·k·B·dim) would exceed the bound.
+        b, k, dim, margin = 256, 5, 48, 100.0
+        ent, rel, pos, neg = random_batch(np.random.default_rng(0), n_ent=400, n_rel=8,
+                                          dim=dim, rows=b, k=k)
+        assert margin > 2.0 + np.linalg.norm(rel, axis=1).max()  # |h + r - t| <= 2 + |r|
+        tracemalloc.start()
+        try:
+            _batch_gradients(ent, rel, pos, neg, k, margin)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * b * k * dim * 8
+
+
 class TestPositiveMembership:
     def test_matches_isin_oracle(self):
         rng = np.random.default_rng(9)
