@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -72,6 +73,10 @@ class Thresholds:
     tuning: str = "fixed"  # "fixed" or "validation-sweep"
 
     def __post_init__(self):
+        for name in ("tau_e_attr", "tau_e_rel"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if not 0.0 <= self.tau_v <= 1.0:
             raise ValueError("tau_v must be in [0, 1]")
         if not 0.0 <= self.tau_r <= 1.0:

@@ -12,14 +12,17 @@ positives' deltas, which are taken once and not once per negative, and
 O(B · k · dim) for the negatives'.  Its entity update costs O(touched rows ·
 dim): only the rows the batch's heads and tails name are gathered, updated
 and normalized again, found by one pass over a boolean mask of all entities.
-The relation gradient covers the whole relation table.  Each gradient column
-is one ``np.bincount`` in input order over the violating copies' unit vectors;
-a step holds those and the negatives' deltas, and copies neither.
+The relation gradient covers the whole relation table.  The violating
+copies' unit vectors are held column-major, one (dim, 4, V) array of four
+entity-role blocks, and each gradient column is one ``np.bincount`` in input
+order over them: a column's entity weights are a view of its contiguous 4·V
+floats, and only its 2·V relation weights are copied.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,10 +47,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.dim <= 0:
             raise ValueError("dim must be > 0")
-        if self.margin <= 0:
-            raise ValueError("margin must be > 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.margin) and self.margin > 0):
+            raise ValueError("margin must be finite and > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.rng_seed < 0:
@@ -152,16 +155,18 @@ def _batch_gradients(ent: np.ndarray, rel: np.ndarray, pos: np.ndarray, neg: np.
     of_positive = violating // k
     pos_v = pos[of_positive]
     neg_v = neg[violating]
-    # one block per entity role, in ent_rows order: +unit_pos (positive heads),
-    # -unit_pos (positive tails), -unit_neg (negative heads), +unit_neg
-    # (negative tails); blocks 0 and 2 are the relation contributions
+    # column-major, one block per entity role in ent_rows order: +unit_pos
+    # (positive heads), -unit_pos (positive tails), -unit_neg (negative heads),
+    # +unit_neg (negative tails); blocks 0 and 2 are the relation contributions
     dim = ent.shape[1]
-    units = np.empty((4, len(violating), dim))
-    pos_unit = pos_d / np.maximum(pos_norm, 1e-12)[:, None]
-    units[0] = pos_unit[of_positive]
-    np.negative(units[0], out=units[1])
-    np.divide(neg_d[violating], np.maximum(neg_norm[violating], 1e-12)[:, None], out=units[3])
-    np.negative(units[3], out=units[2])
+    units = np.empty((dim, 4, len(violating)))
+    pos_d /= np.maximum(pos_norm, 1e-12)[:, None]
+    units[:, 0] = pos_d[of_positive].T
+    np.negative(units[:, 0], out=units[:, 1])
+    neg_d = neg_d[violating]  # frees the other deltas; scaled to unit rows in place below
+    neg_d /= np.maximum(neg_norm[violating], 1e-12)[:, None]
+    units[:, 3] = neg_d.T
+    np.negative(units[:, 3], out=units[:, 2])
     touched = np.zeros(len(ent), dtype=bool)
     touched[pos[:, 0]] = touched[pos[:, 2]] = touched[neg[:, 0]] = touched[neg[:, 2]] = True
     ids = np.flatnonzero(touched)
@@ -169,12 +174,13 @@ def _batch_gradients(ent: np.ndarray, rel: np.ndarray, pos: np.ndarray, neg: np.
     compact[ids] = np.arange(len(ids))
     ent_rows = compact[np.concatenate([pos_v[:, 0], pos_v[:, 2], neg_v[:, 0], neg_v[:, 2]])]
     rel_rows = np.concatenate([pos_v[:, 1], neg_v[:, 1]])
-    grad_ids, grad_rel = np.empty((len(ids), dim)), np.empty((len(rel), dim))
+    # column c's entity weights are the view units[c]; its relation weights copy 2·V floats
+    grad_ids, grad_rel = np.empty((dim, len(ids))), np.empty((dim, len(rel)))
     for c in range(dim):
-        grad_ids[:, c] = np.bincount(ent_rows, weights=units[:, :, c].ravel(), minlength=len(ids))
-        grad_rel[:, c] = np.bincount(rel_rows, weights=units[0::2, :, c].ravel(),
-                                     minlength=len(rel))
-    return loss, ids, grad_ids, grad_rel
+        grad_ids[c] = np.bincount(ent_rows, weights=units[c].reshape(-1), minlength=len(ids))
+        grad_rel[c] = np.bincount(rel_rows, weights=units[c, 0::2].reshape(-1),
+                                  minlength=len(rel))
+    return loss, ids, grad_ids.T, grad_rel.T
 
 
 def _unit_rows(block: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from kgalign.kg import (
     greedy_one_to_one,
     infer_entity_pairs,
 )
-from kgalign.relationship_model import EmbeddingTable, _sample_negatives, _triple_keys
+from kgalign.relationship_model import _RESAMPLE_ROUNDS, EmbeddingTable
 from kgalign.translator import TranslationTable, _dedup_pairs
 
 
@@ -116,17 +116,44 @@ def _unit_rows_whole(table):
     return table
 
 
+def sample_negatives_loop(pos_rep, swapped, rng):
+    """Negatives one row at a time: ``(negatives, rows still known positives)``.
+
+    Makes the library sampler's ``rng`` calls in its order (one head-or-tail
+    draw per row, then one uniform draw per pending row and round), and
+    checks each corruption against a set of positive tuples.
+    """
+    positives = set(map(tuple, swapped.triples.tolist()))
+    split, n = swapped.ent_split, swapped.n_entities
+    column = [0 if side == 0 else 2 for side in rng.integers(0, 2, len(pos_rep)).tolist()]
+    neg = pos_rep.tolist()
+    pending = list(range(len(neg)))
+    for _ in range(_RESAMPLE_ROUNDS):
+        still = []
+        for i, draw in zip(pending, rng.random(len(pending)).tolist()):
+            c = column[i]
+            if pos_rep[i, c] < split:
+                neg[i][c] = int(draw * split)
+            else:
+                neg[i][c] = split + int(draw * (n - split))
+            if tuple(neg[i]) in positives:
+                still.append(i)
+        pending = still
+        if not pending:
+            break
+    return np.array(neg, dtype=np.int64).reshape(-1, 3), len(pending)
+
+
 def train_transe_dense(swapped, cfg):
     """TransE training with full-table steps: every positive repeated k times
     before its delta is taken, the gradient of every entity row, untouched or
     not, subtracted from the whole table, and the touched rows normalized
-    again.  Negatives are drawn as the library draws them."""
+    again.  Negatives come from :func:`sample_negatives_loop`."""
     rng = np.random.default_rng(cfg.rng_seed)
     bound = 6.0 / np.sqrt(cfg.dim)
     ent = _unit_rows_whole(rng.uniform(-bound, bound, (swapped.n_entities, cfg.dim)))
     rel = _unit_rows_whole(rng.uniform(-bound, bound, (swapped.n_relations, cfg.dim)))
     triples = swapped.triples
-    positive_keys = _triple_keys(triples, swapped.n_entities, swapped.n_relations)
     k = cfg.negatives_per_positive
     table = EmbeddingTable(ent, rel, swapped.ent_split, swapped.rel_split)
     for _ in range(cfg.epochs):
@@ -134,7 +161,7 @@ def train_transe_dense(swapped, cfg):
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             pos_rep = np.repeat(triples[order[start:start + cfg.batch_size]], k, axis=0)
-            neg, capped = _sample_negatives(pos_rep, swapped, positive_keys, rng)
+            neg, capped = sample_negatives_loop(pos_rep, swapped, rng)
             table.capped_negatives += capped
             loss, grad_ent, grad_rel = minibatch_loss_and_grad(ent, rel, pos_rep, neg,
                                                                cfg.margin)

@@ -270,6 +270,21 @@ class TestAlign:
                 in caplog.text)
         assert (tmp_path / "taken").read_text() == "kept"
 
+    @pytest.mark.parametrize("key, value", [("margin", "nan"), ("learning_rate", "inf"),
+                                            ("tau_e_attr", "nan")])
+    def test_non_finite_value_exits_two_before_loading(self, dataset, tmp_path, caplog,
+                                                       monkeypatch, key, value):
+        def fail(*args, **kwargs):
+            raise AssertionError("load_graph called")
+
+        monkeypatch.setattr(cli, "load_graph", fail)
+        write_config(config_for(dataset, tmp_path / "out", **{key: float(value)}),
+                     tmp_path / "c.ini")
+        assert f"{key} = {value}" in (tmp_path / "c.ini").read_text()
+        assert cli.main(["align", "--config", str(tmp_path / "c.ini")]) == 2
+        assert f"{key} must be finite" in caplog.text
+        assert not (tmp_path / "out").exists()
+
     def test_out_may_be_an_existing_directory(self, dataset, tmp_path, capsys):
         (tmp_path / "out").mkdir()
         cfg = config_for(dataset, tmp_path / "out", views="attr", max_iterations=1)

@@ -513,6 +513,12 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="validation"):
             run_pipeline(g, g2, seeds, settings, max_iterations=1)
 
+    @pytest.mark.parametrize("key", ["tau_e_attr", "tau_e_rel"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_entity_threshold_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            Thresholds(**{key: value})
+
     def test_threshold_rule_checked_before_training(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("train_translation called")

@@ -1,5 +1,6 @@
 """Structure embeddings: swapping, energy, training, and inference."""
 
+import hashlib
 import logging
 import math
 import tracemalloc
@@ -15,6 +16,7 @@ from kgalign.relationship_model import (
     TrainConfig,
     _batch_gradients,
     _is_positive,
+    _sample_negatives,
     _triple_keys,
     entity_similarity_rel,
     relation_similarity,
@@ -27,6 +29,7 @@ from kgalign.kg import build_initial_seeds
 from oracles import (
     finite_difference,
     minibatch_loss_and_grad,
+    sample_negatives_loop,
     spread_rows,
     swap_triplets_tuples,
     train_transe_dense,
@@ -232,8 +235,9 @@ class TestStepMemory:
         # The bench shape: 400 entities, B=256 positives, k=5, dim=48.  With a
         # margin above every negative's largest possible energy each of the
         # B·k negatives contributes, so the step holds its most: the k·B·dim
-        # deltas, the 4·k·B·dim unit blocks, one column's bincount weights
-        # and the gradients read 6.8 of the unit below, and a copy of the
+        # deltas, the column-major (dim, 4, k·B) unit blocks, one column's
+        # relation weights (2·k·B floats; its entity weights are a view) and
+        # the gradients read 6.4 of the unit below, and a copy of all the
         # relation contributions (2·k·B·dim) would exceed the bound.
         b, k, dim, margin = 256, 5, 48, 100.0
         ent, rel, pos, neg = random_batch(np.random.default_rng(0), n_ent=400, n_rel=8,
@@ -261,6 +265,42 @@ class TestPositiveMembership:
                                           np.isin(keys, positive_keys))
 
 
+def assert_same_negatives(swapped, pos_rep, seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    positive_keys = _triple_keys(swapped.triples, swapped.n_entities, swapped.n_relations)
+    neg, capped = _sample_negatives(pos_rep, swapped, positive_keys, rng)
+    oracle_neg, oracle_capped = sample_negatives_loop(pos_rep, swapped, oracle_rng)
+    np.testing.assert_array_equal(neg, oracle_neg)
+    assert capped == oracle_capped
+    # the same draws were consumed
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    return capped
+
+
+class TestNegativeSampler:
+    """The vectorized sampler equals a per-row loop over the same draws."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_left=st.integers(1, 8), n_right=st.integers(1, 8),
+           rows=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 1), st.integers(0, 15)),
+                         min_size=1, max_size=40),
+           k=st.integers(1, 5), seed=st.integers(0, 1000))
+    def test_matches_per_row_loop(self, n_left, n_right, rows, k, seed):
+        n = n_left + n_right
+        triples = np.unique(np.array(rows, dtype=np.int64) % [n, 2, n], axis=0)
+        swapped = SwappedTriples(triples, n, 2, n_left, 1)
+        pos_rep = np.repeat(triples, k, axis=0)
+        assert_same_negatives(swapped, pos_rep, seed)
+
+    def test_saturated_graph_stays_capped(self):
+        # every in-graph corruption of a left triple is itself a positive
+        left = KnowledgeGraph([(h, "r", t) for h in "ab" for t in "ab"], [])
+        right = KnowledgeGraph([("x", "s", "y")], [])
+        swapped = swap_triplets(left, right, AlignmentStore())
+        pos_rep = np.repeat(swapped.triples, 3, axis=0)
+        assert assert_same_negatives(swapped, pos_rep, 4) == 4 * 3
+
+
 def synthetic_swapped(n_entities=100, rng_seed=3):
     spec = SynthSpec(n_entities=n_entities, rng_seed=rng_seed)
     res = generate_synth(spec)
@@ -286,6 +326,12 @@ class TestTraining:
         b = train_transe(swapped, cfg)
         np.testing.assert_array_equal(a.ent, b.ent)
         np.testing.assert_array_equal(a.rel, b.rel)
+
+    def test_table_digest_is_frozen(self):
+        table = train_transe(synthetic_swapped()[0], TrainConfig(dim=48, epochs=3, rng_seed=3))
+        digest = hashlib.sha256(table.ent.tobytes() + table.rel.tobytes()
+                                + np.array(table.epoch_losses).tobytes()).hexdigest()
+        assert digest == "75d3d4fcc9495b0fa40396c21595ebb4cad9e1af9d076f503c96d6c2dfdf8460"
 
     def test_seed_changes_result(self):
         swapped, _, _ = synthetic_swapped(30)
@@ -508,6 +554,13 @@ class TestConfigValidation:
             TrainConfig(margin=0.0)
         with pytest.raises(ValueError):
             TrainConfig(negatives_per_positive=0)
+
+    @pytest.mark.parametrize("key, value", [("margin", math.nan), ("margin", math.inf),
+                                            ("learning_rate", math.nan),
+                                            ("learning_rate", math.inf)])
+    def test_rejects_non_finite(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            TrainConfig(**{key: value})
 
 
 class TestEmbeddingExport:
